@@ -65,12 +65,14 @@ class PhaseSettings:
         only ever *add* an incumbent; disabling them reproduces the cold
         behaviour exactly.
     progressive:
-        Split the time budget into slices and stop once an extra slice no
-        longer improves the incumbent.  The soft phase models have a
-        structurally weak LP bound (zero), so the MIP-gap criterion never
-        fires and this stall criterion is what keeps phases from burning
-        their whole budget after convergence.  Only honoured by the HiGHS
-        backend.
+        Let the solve stop itself once it stalls: one HiGHS run that ends
+        when a quarter of ``time_limit`` passes without the incumbent
+        improving the objective by at least 1%.  The window opens only at
+        the first incumbent.  The soft phase models have a structurally weak
+        LP bound (zero), so the MIP-gap criterion never fires and this stall
+        criterion is what keeps phases from burning their whole budget after
+        convergence.  Disable it to run to the gap or the time limit.  Only
+        honoured by the HiGHS backend.
     """
 
     time_limit: Optional[float] = 120.0

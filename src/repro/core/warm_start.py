@@ -355,8 +355,9 @@ def solve_phase_model(build: BuildResult, settings, warm_values=None):
     """Solve a phase model honouring the phase's warm-start knobs.
 
     ``settings`` is a :class:`~repro.core.config.PhaseSettings`; the warm
-    start is only forwarded when enabled there, and the progressive sliced
-    solve is requested from the HiGHS backend when configured.
+    start is only forwarded when enabled there, and the progressive
+    (stall-terminated) solve is requested from the HiGHS backend when
+    configured.
     """
     kwargs = {}
     if getattr(settings, "warm_start", False) and warm_values:

@@ -12,16 +12,20 @@ express them:
 * **warm starts** — a (possibly partial) incumbent from a previous, related
   solve is injected with ``Highs.setSolution`` so the MIP search starts from
   a good primal bound instead of hunting for a first feasible point, and
-* **progressive solves** — the time budget is split into slices; after each
-  slice the incumbent is carried into the next as a warm start, and the solve
-  stops early once an additional slice no longer improves the incumbent
-  meaningfully.  The soft phase models of the progressive flow have a
+* **progressive solves** — one HiGHS run that stops itself once the
+  incumbent stalls.  A callback notes HiGHS's running time whenever the
+  incumbent has improved the objective by at least :data:`MIN_IMPROVEMENT`
+  (1%) since the last such note.  Once an incumbent exists and a quarter of
+  the time budget (:data:`STALL_WINDOW`) has passed without one, the
+  interrupt callback stops the run and its incumbent is returned as
+  ``FEASIBLE``.  The soft phase models of the progressive flow have a
   structurally weak LP bound (their big-M relaxation bounds the objective by
   zero), so the MIP gap criterion never fires and the stall criterion is what
   actually ends the solve.
 
-When the bundled binding is unavailable the backend silently degrades to the
-plain ``milp`` path; warm starts are then ignored.
+When the bundled binding (or its callback interface) is unavailable the
+backend silently degrades to the plain ``milp`` path; warm starts are then
+ignored and progressive solves run to the gap or the time limit.
 """
 
 from __future__ import annotations
@@ -37,12 +41,13 @@ from repro.ilp.backends.base import SolverBackend
 from repro.ilp.expr import Variable
 from repro.ilp.solution import Solution, SolveStatus
 
-#: Default number of budget slices of a progressive solve.
-DEFAULT_PROGRESSIVE_SLICES = 4
+#: An incumbent counts as progress of a progressive solve only once it
+#: improves the objective by this relative amount.
+MIN_IMPROVEMENT = 0.01
 
-#: A slice must improve the incumbent by this relative amount for the
-#: progressive solve to keep going.
-DEFAULT_MIN_IMPROVEMENT = 0.01
+#: A progressive solve stops once this share of its time budget has passed
+#: without progress.
+STALL_WINDOW = 0.25
 
 
 def _highspy_core():
@@ -51,8 +56,9 @@ def _highspy_core():
         import scipy.optimize._highspy._core as core
 
         # The private binding has changed names across SciPy releases; only
-        # use it when everything the warm-start path needs is present.
-        required = ("HighsLp", "HighsOptions", "HighsSolution", "MatrixFormat")
+        # use it when everything the warm-start and progressive paths need
+        # is present.
+        required = ("HighsLp", "HighsOptions", "HighsSolution", "MatrixFormat", "cb")
         if not all(hasattr(core, name) for name in required):
             return None
         if not (hasattr(core, "_Highs") or hasattr(core, "Highs")):
@@ -60,6 +66,37 @@ def _highspy_core():
         return core
     except Exception:  # pragma: no cover - defensive
         return None
+
+
+class _StallMonitor:
+    """HiGHS callback that interrupts a run once its incumbent stalls.
+
+    Both callbacks read HiGHS's own ``running_time``.  No stall is declared
+    before the first incumbent, so a run that has none keeps searching until
+    its time limit.
+    """
+
+    def __init__(self, cb, window: float) -> None:
+        types = cb.HighsCallbackType
+        self.kinds = (types.kCallbackMipImprovingSolution, types.kCallbackMipInterrupt)
+        self._improving, self._interrupt = (int(kind) for kind in self.kinds)
+        self._window = window
+        self._reference: Optional[float] = None  # objective at the last progress
+        self._progress_at: Optional[float] = None
+
+    def __call__(self, kind, message, data_out, data_in, user_data) -> None:
+        kind = int(kind)
+        if kind == self._improving:
+            objective = data_out.objective_function_value
+            reference = self._reference
+            if reference is None or (
+                reference - objective >= MIN_IMPROVEMENT * max(1.0, abs(reference))
+            ):
+                self._reference = objective
+                self._progress_at = data_out.running_time
+        elif kind == self._interrupt and self._progress_at is not None:
+            if data_out.running_time - self._progress_at > self._window:
+                data_in.user_interrupt = True
 
 
 class HighsBackend(SolverBackend):
@@ -92,10 +129,6 @@ class HighsBackend(SolverBackend):
         node_limit = options.pop("node_limit", None)
         presolve = options.pop("presolve", None)
         progressive = options.pop("progressive", None)
-        slices = int(options.pop("progressive_slices", DEFAULT_PROGRESSIVE_SLICES))
-        min_improvement = float(
-            options.pop("min_improvement", DEFAULT_MIN_IMPROVEMENT)
-        )
         if options:
             raise SolverError(
                 f"unknown options for the HiGHS backend: {sorted(options)}"
@@ -122,8 +155,6 @@ class HighsBackend(SolverBackend):
                 presolve=presolve,
                 node_limit=node_limit,
                 progressive=bool(progressive),
-                slices=max(1, slices),
-                min_improvement=min_improvement,
             )
         return self._solve_scipy(
             form,
@@ -244,6 +275,7 @@ class HighsBackend(SolverBackend):
         display: bool,
         presolve,
         node_limit=None,
+        monitor: Optional[_StallMonitor] = None,
     ) -> Tuple[object, Optional[np.ndarray], Optional[float], Optional[int]]:
         """One HiGHS run; returns ``(model_status, x, gap, nodes)``."""
         highs_cls = getattr(core, "_Highs", None) or getattr(core, "Highs")
@@ -266,6 +298,10 @@ class HighsBackend(SolverBackend):
             sol = core.HighsSolution()
             sol.col_value = np.asarray(warm_vector, dtype=float)
             highs.setSolution(sol)
+        if monitor is not None:
+            highs.setCallback(monitor, None)
+            for kind in monitor.kinds:
+                highs.startCallback(kind)
         if highs.run() == core.HighsStatus.kError:
             return highs.getModelStatus(), None, None, None
 
@@ -295,109 +331,28 @@ class HighsBackend(SolverBackend):
         presolve,
         node_limit,
         progressive: bool,
-        slices: int,
-        min_improvement: float,
     ) -> Solution:
-        lp = self._build_lp(core, form)
-        sign = -1.0 if form.maximize else 1.0
-
-        if not progressive or time_limit is None or slices <= 1:
-            status, x, gap, nodes = self._run_direct_once(
-                core, lp, time_limit, mip_gap, warm_vector, display, presolve,
-                node_limit,
-            )
-            return self._interpret_direct(
-                core, form, status, x, gap, time.perf_counter() - start,
-                iterations=nodes,
-            )
-
-        # Progressive: spend the budget in slices, warm-starting each from
-        # the best incumbent so far, and stop once a slice stalls.  The
-        # caller-provided warm start is only ever a *seed* — it may be
-        # infeasible, so it never becomes the returned incumbent itself.
-        deadline = start + float(time_limit)
-        slice_budget = float(time_limit) / slices
-        best_x: Optional[np.ndarray] = None
-        best_signed = np.inf
-        last_status, last_gap = None, None
-        total_nodes: Optional[int] = None
-        used_slices = 0
-        stalled = False
-        while True:
-            remaining = deadline - time.perf_counter()
-            if used_slices > 0 and remaining <= 0.05:
-                break
-            # The first slice always runs, even on a microscopic budget, so
-            # an exhausted clock reports TIME_LIMIT rather than ERROR.
-            budget = min(slice_budget, max(remaining, 0.05))
-            seed = best_x if best_x is not None else warm_vector
-            status, x, gap, nodes = self._run_direct_once(
-                core, lp, budget, mip_gap, seed, display, presolve, node_limit
-            )
-            used_slices += 1
-            last_status, last_gap = status, gap
-            if nodes is not None:
-                total_nodes = (total_nodes or 0) + nodes
-            if status == core.HighsModelStatus.kInfeasible:
-                # Infeasibility is terminal.
-                return self._interpret_direct(
-                    core, form, status, None, gap, time.perf_counter() - start,
-                    iterations=total_nodes,
-                )
-            if x is None and status not in (
-                core.HighsModelStatus.kTimeLimit,
-                core.HighsModelStatus.kIterationLimit,
-                core.HighsModelStatus.kSolutionLimit,
-            ):
-                # A solver error (not a budget limit) would repeat identically
-                # on every retry — fail now instead of hot-looping until the
-                # deadline.
-                break
-            if x is not None:
-                signed = sign * float(form.objective @ x)
-                improvement = best_signed - signed
-                threshold = min_improvement * max(1.0, abs(best_signed))
-                improved_enough = (
-                    not np.isfinite(best_signed) or improvement > threshold
-                )
-                if signed < best_signed:
-                    best_x, best_signed = x, signed
-                if status == core.HighsModelStatus.kOptimal:
-                    break
-                if not improved_enough:
-                    stalled = True
-                    break
-            elif best_x is not None:
-                # The slice found nothing new; keep the previous incumbent.
-                stalled = True
-                break
-
-        elapsed = time.perf_counter() - start
-        solution = self._interpret_direct(
-            core, form, last_status, best_x, last_gap, elapsed,
-            iterations=total_nodes,
+        monitor = None
+        if progressive and time_limit is not None:
+            monitor = _StallMonitor(core.cb, STALL_WINDOW * float(time_limit))
+        status, x, gap, nodes = self._run_direct_once(
+            core, self._build_lp(core, form), time_limit, mip_gap, warm_vector,
+            display, presolve, node_limit, monitor,
         )
-        if stalled and solution.is_feasible:
-            solution = Solution(
-                status=SolveStatus.FEASIBLE,
-                objective=solution.objective,
-                values=solution.values,
-                solve_time=elapsed,
-                backend=self.name,
-                gap=solution.gap,
-                message=(
-                    f"progressive solve stalled after {used_slices} slice(s); "
-                    f"{solution.message}"
-                ).strip("; "),
-                iterations=total_nodes,
-            )
-        return solution
+        return self._interpret_direct(
+            core, form, status, x, gap, time.perf_counter() - start,
+            iterations=nodes,
+        )
 
     def _interpret_direct(
         self, core, form, status, x, gap, elapsed: float,
         iterations: Optional[int] = None,
     ) -> Solution:
-        """Map a direct HiGHS run to a :class:`Solution`."""
+        """Map a direct HiGHS run to a :class:`Solution`.
+
+        Only the stall monitor interrupts a run, so ``kInterrupt`` means a
+        progressive solve stalled; its incumbent is ``FEASIBLE``.
+        """
         has_solution = x is not None
         hs = core.HighsModelStatus
         if status == hs.kOptimal and has_solution:
@@ -416,6 +371,11 @@ class HighsBackend(SolverBackend):
             our_status = SolveStatus.ERROR
 
         message = f"HiGHS status: {status}" if status is not None else ""
+        if status == hs.kInterrupt:
+            message = (
+                f"progressive solve stalled: no {MIN_IMPROVEMENT:.0%} improvement "
+                f"in the last {STALL_WINDOW:.0%} of the budget; {message}"
+            )
         if not has_solution:
             return Solution(
                 status=our_status,

@@ -128,6 +128,9 @@ class ConstraintBatch:
             lowered = ColumnExpr.lower(part)
             offset += lowered.constant
             for col, val in zip(lowered.cols, lowered.vals):
+                if abs(val) <= _DROP_TOL:
+                    # LinExpr drops such a term before it merges.
+                    continue
                 slot = seen.get(col)
                 if slot is None:
                     seen[col] = len(cols)
@@ -135,7 +138,7 @@ class ConstraintBatch:
                     vals.append(val)
                 else:
                     vals[slot] += val
-        # Apply the shared drop tolerance once, after merging.
+        # Merged duplicates can also cancel below the tolerance.
         if any(abs(v) <= _DROP_TOL for v in vals):
             kept = [(c, v) for c, v in zip(cols, vals) if abs(v) > _DROP_TOL]
             cols = [c for c, _ in kept]

@@ -6,7 +6,7 @@ and keeping the first acceptable result is both faster in the median and
 more robust in the tail.  This module applies the idea to the P-ILP flow:
 each :class:`PortfolioVariant` rewrites the per-phase
 :class:`~repro.core.config.PhaseSettings` of a base job (warm vs cold
-starts, progressive slicing on or off, HiGHS vs the pure-Python
+starts, progressive stall stops on or off, HiGHS vs the pure-Python
 branch-and-bound backend), all variants run concurrently through the
 worker pool, and the race settles on
 

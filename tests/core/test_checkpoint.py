@@ -152,7 +152,8 @@ class TestResumeDeterminism:
         )
         profile = resumed.profile()
         assert profile["resumed_from_phase"] == state.stage
-        assert profile["resume_saved_s"] == pytest.approx(state.elapsed_s)
+        # profile() rounds to 6 decimals, so compare on that absolute grid.
+        assert profile["resume_saved_s"] == pytest.approx(state.elapsed_s, abs=5e-7)
         # Only the phases run live this time wrote fresh checkpoints.
         assert profile["checkpoint_writes"] == len(resumed_sink.saved)
         assert len(resumed_sink.saved) == len(resumed.phases) - len(

@@ -1,9 +1,12 @@
 """Tests of the two MILP backends, including cross-checks between them."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import SolverError
 from repro.ilp import Model, SolveStatus, available_backends, get_backend
+from repro.ilp.backends import highs as highs_module
 from repro.ilp.backends.branch_bound import BranchAndBoundBackend
 from repro.ilp.backends.highs import HighsBackend
 
@@ -219,3 +222,74 @@ class TestWarmStarts:
         )
         assert progressive.status is SolveStatus.OPTIMAL
         assert progressive.objective == pytest.approx(plain.objective)
+
+    def test_progressive_solve_falls_back_to_milp_without_binding(self, monkeypatch):
+        monkeypatch.setattr(highs_module, "_highspy_core", lambda: None)
+        model, items = self._model()
+        solution = model.solve(
+            backend="highs", time_limit=10.0, progressive=True,
+            warm_start={items[0]: 1.0},
+        )
+        assert solution.is_feasible
+        assert solution.objective == pytest.approx(14.0)
+
+
+class TestStallMonitor:
+    """The progressive stop rule, driven with synthetic callback events."""
+
+    WINDOW = 1.0
+
+    @pytest.fixture
+    def monitor(self):
+        core = highs_module._highspy_core()
+        if core is None:
+            pytest.skip("SciPy's bundled HiGHS binding is unavailable")
+        return highs_module._StallMonitor(core.cb, self.WINDOW)
+
+    @staticmethod
+    def fire(monitor, kind, running_time, objective=float("inf")):
+        """Deliver one callback; return whether it asked HiGHS to stop."""
+        data_out = SimpleNamespace(
+            running_time=running_time, objective_function_value=objective
+        )
+        data_in = SimpleNamespace(user_interrupt=False)
+        monitor(kind, "", data_out, data_in, None)
+        return data_in.user_interrupt
+
+    def test_no_stall_before_the_first_incumbent(self, monitor):
+        improving, interrupt = monitor.kinds
+        assert not self.fire(monitor, interrupt, 100.0)
+        assert not self.fire(monitor, improving, 100.0, objective=50.0)
+        assert not self.fire(monitor, interrupt, 100.0 + 0.9 * self.WINDOW)
+        assert self.fire(monitor, interrupt, 100.0 + 1.1 * self.WINDOW)
+
+    def test_only_a_one_percent_improvement_restarts_the_window(self, monitor):
+        improving, interrupt = monitor.kinds
+        self.fire(monitor, improving, 0.0, objective=100.0)
+        # 0.5% better: an improving solution, but not progress.
+        self.fire(monitor, improving, 0.5, objective=99.5)
+        assert self.fire(monitor, interrupt, 1.1 * self.WINDOW)
+        # Together with the earlier step the incumbent is now 1% better.
+        self.fire(monitor, improving, 1.2, objective=99.0)
+        assert not self.fire(monitor, interrupt, 1.2 + 0.9 * self.WINDOW)
+
+
+@pytest.mark.slow
+def test_progressive_solve_stops_once_the_warm_start_is_not_improved():
+    """Reduced lna94 Phase 1 never beats its warm start within its budget.
+
+    The run must end one stall window (a quarter of the budget) after the
+    warm start, as ``FEASIBLE``, not on the time limit.
+    """
+    from repro.circuits import get_circuit
+    from repro.core.config import PILPConfig
+    from repro.core.phase1 import run_phase1
+
+    config = PILPConfig.fast()
+    budget = config.phase1.time_limit
+    result = run_phase1(get_circuit("lna94", "reduced").netlist, config)
+    solution = result.solution
+    assert solution.status is SolveStatus.FEASIBLE
+    assert "stalled" in solution.message
+    assert "timelimit" not in solution.message.lower().replace(" ", "")
+    assert solution.solve_time < 0.6 * budget

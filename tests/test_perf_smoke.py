@@ -60,6 +60,27 @@ def test_warm_start_covers_most_of_the_model(tiny_netlist):
     assert coverage > 0.9, f"warm start covers only {coverage:.0%} of variables"
 
 
+def test_highs_binding_exposes_the_progressive_surface():
+    """Pin the private ``scipy.optimize._highspy`` names the backend uses.
+
+    Progressive solves stop themselves through these callbacks; if a SciPy
+    release renames one, ``_highspy_core`` must notice and fall back.
+    """
+    from repro.ilp.backends.highs import _highspy_core
+
+    core = _highspy_core()
+    assert core is not None
+    kinds = core.cb.HighsCallbackType
+    assert hasattr(kinds, "kCallbackMipInterrupt")
+    assert hasattr(kinds, "kCallbackMipImprovingSolution")
+    highs = getattr(core, "_Highs", None) or core.Highs
+    assert hasattr(highs, "setCallback") and hasattr(highs, "startCallback")
+    assert hasattr(core.cb.HighsCallbackInput, "user_interrupt")
+    assert hasattr(core.cb.HighsCallbackOutput, "running_time")
+    assert hasattr(core.cb.HighsCallbackOutput, "objective_function_value")
+    assert hasattr(core.HighsModelStatus, "kInterrupt")
+
+
 def test_rf_propagation_is_memoised():
     line = MicrostripLine(width=10.0, height=3.0)
     freq = np.linspace(50e9, 70e9, 41)
