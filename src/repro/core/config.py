@@ -73,6 +73,12 @@ class PhaseSettings:
         criterion is what keeps phases from burning their whole budget after
         convergence.  Disable it to run to the gap or the time limit.  Only
         honoured by the HiGHS backend.
+
+    A warm-started Phase 1 does not search: it keeps the seed's integer
+    choices and solves the remaining LP once (see :mod:`repro.core.phase1`).
+    Its ``time_limit``, ``mip_gap`` and ``progressive`` therefore apply only
+    to the cold path (``warm_start=False``) and to the MIP fallback that runs
+    when the pinned LP has no optimum.
     """
 
     time_limit: Optional[float] = 120.0

@@ -9,24 +9,39 @@ by the centre-to-boundary runs that the blurred devices swallow
 relaxed: unmatched length and residual overlap are penalised in the
 objective (equation (26)) instead of being enforced, which keeps this first,
 globally-unconstrained model solvable.
+
+Deviation from the paper: with warm starts on (the default), Phase 1 does
+not search the ILP.  It keeps the discrete choices of the L-shaped routes
+through the force-directed seed placement, pins every integer column to
+them and solves the remaining LP once
+(:meth:`~repro.ilp.backends.base.SolverBackend.repair`).  Measured at the
+benchmark budgets, the search never beat that repaired seed: on reduced
+lna94, buffer60 and lna60 the repaired seed (found after 0.02 s) was the
+only incumbent, and each run then spent a 1.25 s stall window on root
+separation (on lna94: 9,550 cuts, 0 nodes, dual bound 0); a 60 s HiGHS run
+on reduced buffer60 and lna94 found nothing better either.  On the service's
+tiny job a sub-MIP lowered the Phase-1 objective from 28 to 0, yet the final
+layout has one bend and is DRC-clean either way.  The paper's search still
+runs when the pinned LP has no optimum, and always with
+``PhaseSettings(warm_start=False)``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
-
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
-from repro.core.model_builder import BuildOptions, RficModelBuilder
+from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
 from repro.core.result import PhaseResult
 from repro.core.seed import seed_placement, spread_boundary_pads
 from repro.core.warm_start import solve_phase_model, warm_start_from_seeds
 from repro.core.windows import mean_device_extent, window_around
+from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.ilp.backends import get_backend
 
 
 def run_phase1(
@@ -49,37 +64,22 @@ def run_phase1(
     config = config or PILPConfig()
     start = time.perf_counter()
 
-    reservation = config.blur_margin_factor * mean_device_extent(netlist)
     # The force-directed seed placement feeds both the guided windows and
     # the warm start; compute it once.
     seeds = None
     if config.guided_phase1 or config.phase1.warm_start:
-        seeds = spread_boundary_pads(
-            seed_placement(netlist, config.random_seed), netlist
-        )
-    device_windows, chain_windows = _phase1_windows(netlist, config, seeds)
-    options = BuildOptions(
-        blurred_devices=True,
-        exact_lengths=False,
-        allow_overlap=True,
-        include_device_blocks=False,
-        extra_segment_margin=reservation,
-        chain_point_counts={
-            net.name: config.chain_points_per_microstrip for net in netlist.microstrips
-        },
-        device_windows=device_windows,
-        chain_windows=chain_windows,
-        same_net_spacing=config.same_net_spacing,
-    )
-    builder = RficModelBuilder(netlist, config, options, name=f"phase1[{netlist.name}]")
+        seeds = phase1_seeds(netlist, config)
     build_started = time.perf_counter()
-    build = builder.build()
+    build = build_phase1_model(netlist, config, seeds)
     model_build_time = time.perf_counter() - build_started
     settings = config.phase1
     warm_values = None
-    if settings.warm_start and seeds is not None:
+    solution = None
+    if settings.warm_start:
         warm_values = warm_start_from_seeds(build, seeds)
-    solution = solve_phase_model(build, settings, warm_values)
+        solution = get_backend(settings.backend).repair(build.model, warm_values)
+    if solution is None:
+        solution = solve_phase_model(build, settings, warm_values)
     runtime = time.perf_counter() - start
     if not solution.is_feasible:
         raise InfeasibleModelError(
@@ -93,7 +93,7 @@ def run_phase1(
             "flow": "p-ilp",
             "phase": "phase1",
             "solver_status": solution.status.value,
-            "reservation_margin_um": reservation,
+            "reservation_margin_um": build.options.extra_segment_margin,
         },
     )
     return PhaseResult(
@@ -107,6 +107,32 @@ def run_phase1(
         model_statistics=build.model.statistics(),
         model_build_time=model_build_time,
     )
+
+
+def phase1_seeds(netlist: Netlist, config: PILPConfig) -> Dict[str, Point]:
+    """The force-directed seed placement, pads spread onto the boundary."""
+    return spread_boundary_pads(seed_placement(netlist, config.random_seed), netlist)
+
+
+def build_phase1_model(
+    netlist: Netlist, config: PILPConfig, seeds: Optional[Dict[str, Point]] = None
+) -> BuildResult:
+    """Build the Phase-1 model; ``seeds`` shares a computed seed placement."""
+    device_windows, chain_windows = _phase1_windows(netlist, config, seeds)
+    options = BuildOptions(
+        blurred_devices=True,
+        exact_lengths=False,
+        allow_overlap=True,
+        include_device_blocks=False,
+        extra_segment_margin=config.blur_margin_factor * mean_device_extent(netlist),
+        chain_point_counts={
+            net.name: config.chain_points_per_microstrip for net in netlist.microstrips
+        },
+        device_windows=device_windows,
+        chain_windows=chain_windows,
+        same_net_spacing=config.same_net_spacing,
+    )
+    return RficModelBuilder(netlist, config, options, name=f"phase1[{netlist.name}]").build()
 
 
 def _phase1_windows(
@@ -125,9 +151,7 @@ def _phase1_windows(
         return {}, {}
     tau = config.phase1_window
     if seeds is None:
-        seeds = spread_boundary_pads(
-            seed_placement(netlist, config.random_seed), netlist
-        )
+        seeds = phase1_seeds(netlist, config)
 
     device_windows: Dict[str, Rect] = {
         name: window_around(point, tau) for name, point in seeds.items()

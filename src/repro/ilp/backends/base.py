@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
+import time
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
+from scipy import optimize
 
 from repro.ilp.expr import Variable
-from repro.ilp.solution import Solution
+from repro.ilp.solution import Solution, SolveStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.ilp.model import Model, StandardForm
@@ -40,6 +42,44 @@ class SolverBackend(abc.ABC):
         values; backends that cannot exploit it must still accept and ignore
         it.
         """
+
+    def repair(
+        self,
+        model: "Model",
+        warm_start: Mapping[Union[Variable, str], float],
+    ) -> Optional[Solution]:
+        """Complete a warm start by LP instead of searching.
+
+        Every integer column is pinned to the warm start's rounded value and
+        the remaining LP is solved once; this is the repair HiGHS applies to
+        an injected incumbent before its search starts.  The pins live on a
+        copy of the standard form's bounds, never on the model.  Returns the
+        repaired assignment as ``FEASIBLE``, or ``None`` when nothing in the
+        warm start matched or the pinned LP has no optimum.
+        """
+        form = model.to_standard_form()
+        start = time.perf_counter()
+        vector = self.warm_start_vector(form, warm_start)
+        if vector is None:
+            return None
+        pinned = pinned_bounds(form, vector)
+        if pinned is None:
+            return None
+        objective = -form.objective if form.maximize else form.objective
+        solved = solve_lp(form, objective, *pinned)
+        if solved is None:
+            return None
+        values = self.assignment_from_vector(form, solved[1])
+        vector = np.array([values[var] for var in form.variables])
+        return Solution(
+            status=SolveStatus.FEASIBLE,
+            objective=self.objective_value(form, vector),
+            values=values,
+            solve_time=time.perf_counter() - start,
+            backend=self.name,
+            message="warm start repaired by LP (integer columns pinned)",
+            iterations=0,
+        )
 
     # ------------------------------------------------------------------ #
     # shared utilities
@@ -110,3 +150,57 @@ class SolverBackend(abc.ABC):
         integer_mask = form.integrality != 0
         x[integer_mask] = np.round(x[integer_mask])
         return x
+
+
+def pinned_bounds(
+    form: "StandardForm", x: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Copies of ``form``'s bounds with every integer column fixed to ``x``.
+
+    ``x`` is rounded on the integer columns; returns ``None`` when a rounded
+    value falls outside its variable's bounds.
+    """
+    integer_indices = np.flatnonzero(form.integrality)
+    lower = form.lower.copy()
+    upper = form.upper.copy()
+    rounded = np.round(x[integer_indices])
+    lower[integer_indices] = np.maximum(rounded, form.lower[integer_indices])
+    upper[integer_indices] = np.minimum(rounded, form.upper[integer_indices])
+    if np.any(lower > upper):
+        return None
+    return lower, upper
+
+
+def solve_lp(
+    form: "StandardForm",
+    objective: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    deadline: Optional[float] = None,
+) -> Optional[Tuple[float, np.ndarray]]:
+    """Solve ``form``'s LP relaxation over the given bounds (minimising).
+
+    Returns ``(objective_value, x)``, or ``None`` when the LP has no optimum
+    or ``deadline`` (a ``time.perf_counter`` instant) has already passed.
+    """
+    lp_options = {}
+    if deadline is not None:
+        remaining = deadline - time.perf_counter()
+        if remaining <= 0:
+            return None
+        lp_options["time_limit"] = max(0.05, remaining)
+    has_ub = form.a_ub.shape[0] > 0
+    has_eq = form.a_eq.shape[0] > 0
+    result = optimize.linprog(
+        c=objective,
+        A_ub=form.a_ub if has_ub else None,
+        b_ub=form.b_ub if has_ub else None,
+        A_eq=form.a_eq if has_eq else None,
+        b_eq=form.b_eq if has_eq else None,
+        bounds=np.column_stack([lower, upper]),
+        method="highs",
+        options=lp_options,
+    )
+    if not result.success:
+        return None
+    return float(result.fun), np.asarray(result.x, dtype=float)

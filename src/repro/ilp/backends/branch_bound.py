@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
-from repro.ilp.backends.base import SolverBackend
+from repro.ilp.backends.base import SolverBackend, pinned_bounds, solve_lp
 from repro.ilp.expr import Variable
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -152,7 +151,7 @@ class BranchAndBoundBackend(SolverBackend):
         nodes_explored = 0
         hit_limit = False
 
-        root_result = self._solve_lp(objective, form, root_lower, root_upper, deadline)
+        root_result = solve_lp(form, objective, root_lower, root_upper, deadline)
         if root_result is None:
             if deadline_expired():
                 hit_limit = True
@@ -224,8 +223,8 @@ class BranchAndBoundBackend(SolverBackend):
             for child_lower, child_upper in ((down_lower, down_upper), (up_lower, up_upper)):
                 if child_lower[branch_index] > child_upper[branch_index]:
                     continue
-                child_result = self._solve_lp(
-                    objective, form, child_lower, child_upper, deadline
+                child_result = solve_lp(
+                    form, objective, child_lower, child_upper, deadline
                 )
                 if child_result is None:
                     if deadline_expired():
@@ -302,40 +301,6 @@ class BranchAndBoundBackend(SolverBackend):
 
     # ------------------------------------------------------------------ #
 
-    def _solve_lp(
-        self,
-        objective: np.ndarray,
-        form,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        deadline: Optional[float] = None,
-    ) -> Optional[Tuple[float, np.ndarray]]:
-        """Solve the LP relaxation over the given bounds.
-
-        Returns ``(objective_value, x)`` or ``None`` when infeasible (or when
-        the deadline has already passed).
-        """
-        lp_options = {}
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return None
-            lp_options["time_limit"] = max(0.05, remaining)
-        bounds = np.column_stack([lower, upper])
-        result = optimize.linprog(
-            c=objective,
-            A_ub=form.a_ub if form.a_ub.shape[0] else None,
-            b_ub=form.b_ub if form.a_ub.shape[0] else None,
-            A_eq=form.a_eq if form.a_eq.shape[0] else None,
-            b_eq=form.b_eq if form.a_eq.shape[0] else None,
-            bounds=bounds,
-            method="highs",
-            options=lp_options,
-        )
-        if not result.success:
-            return None
-        return float(result.fun), np.asarray(result.x, dtype=float)
-
     @staticmethod
     def _most_fractional(
         x: np.ndarray, integer_indices: np.ndarray
@@ -368,17 +333,10 @@ class BranchAndBoundBackend(SolverBackend):
             return None
         if integer_indices.size == 0:
             return float(objective @ x), x
-        lower = form.lower.copy()
-        upper = form.upper.copy()
-        rounded = np.round(x[integer_indices])
-        lower[integer_indices] = np.maximum(rounded, form.lower[integer_indices])
-        upper[integer_indices] = np.minimum(rounded, form.upper[integer_indices])
-        if np.any(lower > upper):
+        pinned = pinned_bounds(form, x)
+        if pinned is None:
             return None
-        result = self._solve_lp(objective, form, lower, upper, deadline)
-        if result is None:
-            return None
-        return result
+        return solve_lp(form, objective, *pinned, deadline)
 
 
 def _relative_gap(incumbent: float, bound: float) -> float:

@@ -234,6 +234,42 @@ class TestWarmStarts:
         assert solution.objective == pytest.approx(14.0)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestRepair:
+    """``SolverBackend.repair`` keeps the warm start's integer choices and
+    solves only the remaining LP, on a copy of the bounds."""
+
+    def _model(self):
+        model = Model("repair")
+        x = model.add_continuous("x", lb=0.0, ub=10.0)
+        y = model.add_binary("y")
+        model.add_constraint(x <= 3 + 5 * y)
+        model.set_objective(x + y, sense="max")
+        return model, x, y
+
+    def test_integer_columns_keep_the_warm_start_choice(self, backend):
+        model, x, y = self._model()
+        lower = model.to_standard_form().lower.copy()
+        upper = model.to_standard_form().upper.copy()
+        solution = get_backend(backend).repair(model, {y: 0.2, x: 7.0})
+        assert solution.status is SolveStatus.FEASIBLE
+        assert solution.value(y) == 0.0
+        assert solution.value(x) == pytest.approx(3.0)
+        assert solution.objective == pytest.approx(3.0)
+        assert solution.backend == get_backend(backend).name
+        form = model.to_standard_form()
+        assert (form.lower == lower).all() and (form.upper == upper).all()
+        assert model.solve(backend=backend).objective == pytest.approx(9.0)
+
+    def test_unmatched_warm_start_gives_none(self, backend):
+        model, _, _ = self._model()
+        assert get_backend(backend).repair(model, {"does_not_exist": 1.0}) is None
+
+    def test_infeasible_pinned_lp_gives_none(self, backend):
+        model, items = knapsack_model([3, 4, 5, 6], [4, 5, 6, 9], capacity=10)
+        assert get_backend(backend).repair(model, {item: 1.0 for item in items}) is None
+
+
 class TestStallMonitor:
     """The progressive stop rule, driven with synthetic callback events."""
 
@@ -276,19 +312,25 @@ class TestStallMonitor:
 
 @pytest.mark.slow
 def test_progressive_solve_stops_once_the_warm_start_is_not_improved():
-    """Reduced lna94 Phase 1 never beats its warm start within its budget.
+    """A MIP search of reduced lna94's Phase 1 never beats its warm start.
 
     The run must end one stall window (a quarter of the budget) after the
-    warm start, as ``FEASIBLE``, not on the time limit.
+    warm start, as ``FEASIBLE``, not on the time limit.  ``run_phase1``
+    repairs the seed instead of searching, so the model is solved directly.
     """
     from repro.circuits import get_circuit
     from repro.core.config import PILPConfig
-    from repro.core.phase1 import run_phase1
+    from repro.core.phase1 import build_phase1_model, phase1_seeds
+    from repro.core.warm_start import solve_phase_model, warm_start_from_seeds
 
     config = PILPConfig.fast()
     budget = config.phase1.time_limit
-    result = run_phase1(get_circuit("lna94", "reduced").netlist, config)
-    solution = result.solution
+    netlist = get_circuit("lna94", "reduced").netlist
+    seeds = phase1_seeds(netlist, config)
+    build = build_phase1_model(netlist, config, seeds)
+    solution = solve_phase_model(
+        build, config.phase1, warm_start_from_seeds(build, seeds)
+    )
     assert solution.status is SolveStatus.FEASIBLE
     assert "stalled" in solution.message
     assert "timelimit" not in solution.message.lower().replace(" ", "")

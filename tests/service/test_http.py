@@ -142,6 +142,25 @@ class TestEndpoints:
             list(client.iter_events(key, timeout=0.5))
         assert time_module.monotonic() - started < 30.0
 
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, service):
+        """Headers and body leave in one write, so a reused connection
+        does not stall ~40 ms per response on Nagle plus delayed ACK."""
+        import http.client
+        import time as time_module
+
+        connection = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            started = time_module.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            elapsed = time_module.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.3
+
 
 class TestAcceptance:
     """The ISSUE's end-to-end criterion, minus the daemon-restart leg

@@ -81,6 +81,36 @@ def test_highs_binding_exposes_the_progressive_surface():
     assert hasattr(core.HighsModelStatus, "kInterrupt")
 
 
+@pytest.mark.parametrize("warm_start, mip_solves", [(True, 0), (False, 1)])
+def test_phase1_repairs_its_seed_without_a_mip_search(
+    tiny_netlist, monkeypatch, warm_start, mip_solves
+):
+    """A seeded Phase 1 is one pinned LP; only a cold one runs HiGHS's MIP."""
+    from dataclasses import replace
+
+    from repro.core.phase1 import run_phase1
+    from repro.ilp.backends.highs import HighsBackend
+    from repro.ilp.solution import SolveStatus
+
+    solves = []
+    original = HighsBackend.solve
+
+    def counting(self, *args, **kwargs):
+        solves.append(kwargs)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HighsBackend, "solve", counting)
+    config = PILPConfig.fast()
+    config = config.with_updates(phase1=replace(config.phase1, warm_start=warm_start))
+    result = run_phase1(tiny_netlist, config)
+    assert len(solves) == mip_solves
+    if warm_start:
+        assert result.solution.status is SolveStatus.FEASIBLE
+    else:
+        assert solves[0]["warm_start"] is None
+        assert result.solution.is_feasible
+
+
 def test_rf_propagation_is_memoised():
     line = MicrostripLine(width=10.0, height=3.0)
     freq = np.linspace(50e9, 70e9, 41)
