@@ -7,7 +7,6 @@ import time
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from repro.ilp.expr import Variable
 from repro.ilp.solution import Solution, SolveStatus
@@ -65,8 +64,9 @@ class SolverBackend(abc.ABC):
         pinned = pinned_bounds(form, vector)
         if pinned is None:
             return None
-        objective = -form.objective if form.maximize else form.objective
-        solved = solve_lp(form, objective, *pinned)
+        from repro.ilp.backends.highs import solve_lp  # highs imports this module
+
+        solved = solve_lp(form, *pinned)
         if solved is None:
             return None
         values = self.assignment_from_vector(form, solved[1])
@@ -170,37 +170,3 @@ def pinned_bounds(
         return None
     return lower, upper
 
-
-def solve_lp(
-    form: "StandardForm",
-    objective: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    deadline: Optional[float] = None,
-) -> Optional[Tuple[float, np.ndarray]]:
-    """Solve ``form``'s LP relaxation over the given bounds (minimising).
-
-    Returns ``(objective_value, x)``, or ``None`` when the LP has no optimum
-    or ``deadline`` (a ``time.perf_counter`` instant) has already passed.
-    """
-    lp_options = {}
-    if deadline is not None:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return None
-        lp_options["time_limit"] = max(0.05, remaining)
-    has_ub = form.a_ub.shape[0] > 0
-    has_eq = form.a_eq.shape[0] > 0
-    result = optimize.linprog(
-        c=objective,
-        A_ub=form.a_ub if has_ub else None,
-        b_ub=form.b_ub if has_ub else None,
-        A_eq=form.a_eq if has_eq else None,
-        b_eq=form.b_eq if has_eq else None,
-        bounds=np.column_stack([lower, upper]),
-        method="highs",
-        options=lp_options,
-    )
-    if not result.success:
-        return None
-    return float(result.fun), np.asarray(result.x, dtype=float)

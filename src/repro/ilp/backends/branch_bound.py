@@ -3,10 +3,9 @@
 This backend exists for two reasons:
 
 1. It demonstrates that the paper's formulation can be solved without any
-   external MILP engine: LP relaxations are solved with
-   :func:`scipy.optimize.linprog` (dual simplex / interior point via HiGHS'
-   LP code, which is exposed through ``method="highs"``), and integrality is
-   enforced by branching.
+   external MILP engine: LP relaxations are solved by HiGHS's LP code
+   (:func:`~repro.ilp.backends.highs.solve_lp`, on SciPy's bundled
+   binding), and integrality is enforced by branching.
 2. It provides an independent cross-check of the HiGHS MILP backend in the
    test-suite: both backends must agree on optimal objective values for small
    models.
@@ -41,7 +40,8 @@ from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.ilp.backends.base import SolverBackend, pinned_bounds, solve_lp
+from repro.ilp.backends.base import SolverBackend, pinned_bounds
+from repro.ilp.backends.highs import solve_lp
 from repro.ilp.expr import Variable
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -144,14 +144,14 @@ class BranchAndBoundBackend(SolverBackend):
 
         def deadline_expired() -> bool:
             # A failed LP right at the budget boundary is a timeout, not a
-            # proof of infeasibility (linprog may stop on its own
+            # proof of infeasibility (HiGHS may stop on its own
             # time_limit slightly before our clock does).
             return deadline is not None and time.perf_counter() > deadline - 0.1
 
         nodes_explored = 0
         hit_limit = False
 
-        root_result = solve_lp(form, objective, root_lower, root_upper, deadline)
+        root_result = solve_lp(form, root_lower, root_upper, deadline)
         if root_result is None:
             if deadline_expired():
                 hit_limit = True
@@ -223,9 +223,7 @@ class BranchAndBoundBackend(SolverBackend):
             for child_lower, child_upper in ((down_lower, down_upper), (up_lower, up_upper)):
                 if child_lower[branch_index] > child_upper[branch_index]:
                     continue
-                child_result = solve_lp(
-                    form, objective, child_lower, child_upper, deadline
-                )
+                child_result = solve_lp(form, child_lower, child_upper, deadline)
                 if child_result is None:
                     if deadline_expired():
                         # Don't treat a timed-out child LP as pruned: its
@@ -336,7 +334,7 @@ class BranchAndBoundBackend(SolverBackend):
         pinned = pinned_bounds(form, x)
         if pinned is None:
             return None
-        return solve_lp(form, objective, *pinned, deadline)
+        return solve_lp(form, *pinned, deadline)
 
 
 def _relative_gap(incumbent: float, bound: float) -> float:

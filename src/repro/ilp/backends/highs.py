@@ -1,13 +1,19 @@
-"""HiGHS MILP backend built on :func:`scipy.optimize.milp`.
+"""HiGHS MILP backend on SciPy's bundled HiGHS binding.
 
 This is the default backend.  SciPy ships the open-source HiGHS solver, which
 plays the role that Gurobi played in the original paper: an exact
-branch-and-cut MILP solver.  Cold solves go through ``scipy.optimize.milp``
-exactly as before.
+branch-and-cut MILP solver.
 
-Two fast-path features additionally drive HiGHS through the *bundled* binding
-(``scipy.optimize._highspy``), because SciPy's public ``milp`` wrapper cannot
-express them:
+Every HiGHS call under :mod:`repro.ilp` takes one path through the bundled
+binding ``scipy.optimize._highspy._core``: :func:`lower` turns a
+:class:`~repro.ilp.model.StandardForm` into a ``HighsLp`` and :func:`run`
+solves it with a set of options, an optional warm vector and an optional
+callback.  :class:`HighsBackend` uses the pair for cold, warm-started and
+progressive MIPs and for pure LPs; :func:`solve_lp` uses it for the repair LP
+and the branch-and-bound node LPs.  The binding is required: without it a
+solve raises :class:`~repro.errors.SolverError`, and there is no fallback.
+
+Two features rely on the binding's full surface:
 
 * **warm starts** — a (possibly partial) incumbent from a previous, related
   solve is injected with ``Highs.setSolution`` so the MIP search starts from
@@ -22,10 +28,6 @@ express them:
   structurally weak LP bound (their big-M relaxation bounds the objective by
   zero), so the MIP gap criterion never fires and the stall criterion is what
   actually ends the solve.
-
-When the bundled binding (or its callback interface) is unavailable the
-backend silently degrades to the plain ``milp`` path; warm starts are then
-ignored and progressive solves run to the gap or the time limit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import time
 from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from repro.errors import SolverError
 from repro.ilp.backends.base import SolverBackend
@@ -49,23 +51,131 @@ MIN_IMPROVEMENT = 0.01
 #: without progress.
 STALL_WINDOW = 0.25
 
+#: The bundled binding every solve runs on.
+BINDING = "scipy.optimize._highspy._core"
+
+# Imported with this module, not at the first solve: the service forks a
+# worker per job, and the import (all of scipy.optimize) would otherwise be
+# paid again in every worker.
+try:
+    from scipy.optimize._highspy import _core
+except ImportError:  # reported by _highspy_core() when a solve needs it
+    _core = None
+
 
 def _highspy_core():
-    """Return SciPy's bundled HiGHS binding, or ``None`` if unavailable."""
-    try:  # pragma: no cover - exercised indirectly
-        import scipy.optimize._highspy._core as core
+    """Return SciPy's bundled HiGHS binding; raise if it is unusable."""
+    if _core is None:
+        raise SolverError(f"the HiGHS backend needs {BINDING}, which SciPy lacks")
+    # The private binding has changed names across SciPy releases; name what
+    # this release lacks instead of failing somewhere inside a solve.
+    required = ("HighsLp", "HighsOptions", "HighsSolution", "MatrixFormat", "_Highs", "cb")
+    missing = [name for name in required if not hasattr(_core, name)]
+    if missing:
+        raise SolverError(f"the HiGHS backend needs {BINDING}, which lacks {missing}")
+    return _core
 
-        # The private binding has changed names across SciPy releases; only
-        # use it when everything the warm-start and progressive paths need
-        # is present.
-        required = ("HighsLp", "HighsOptions", "HighsSolution", "MatrixFormat", "cb")
-        if not all(hasattr(core, name) for name in required):
+
+def lower(core, form, relax: bool = False):
+    """Lower a StandardForm to a minimising ``HighsLp``.
+
+    With ``relax`` the integrality of every column is dropped (an LP
+    relaxation).
+    """
+    num_ub = form.a_ub.shape[0]
+    num_eq = form.a_eq.shape[0]
+    if num_ub and num_eq:
+        a = sparse.vstack([form.a_ub, form.a_eq], format="csc")
+    elif num_ub:
+        a = form.a_ub.tocsc()
+    else:
+        a = form.a_eq.tocsc()
+    objective = -form.objective if form.maximize else form.objective
+
+    lp = core.HighsLp()
+    lp.num_col_ = form.num_variables
+    lp.num_row_ = num_ub + num_eq
+    lp.col_cost_ = objective
+    lp.col_lower_ = form.lower
+    lp.col_upper_ = form.upper
+    lp.row_lower_ = np.concatenate([np.full(num_ub, -core.kHighsInf), form.b_eq])
+    lp.row_upper_ = np.concatenate([form.b_ub, form.b_eq])
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = form.num_variables
+    lp.a_matrix_.num_row_ = num_ub + num_eq
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    if not relax and np.any(form.integrality):
+        lp.integrality_ = [
+            core.HighsVarType.kInteger if flag else core.HighsVarType.kContinuous
+            for flag in form.integrality
+        ]
+    return lp
+
+
+def run(core, lp, options: Mapping[str, object], warm_vector=None, callback=None):
+    """Run HiGHS once on ``lp``; return ``(model_status, info, x)``.
+
+    ``options`` maps ``HighsOptions`` attribute names to values.
+    ``warm_vector`` is injected as the starting incumbent.  ``callback`` is
+    called for each HiGHS callback type in its ``kinds``.  ``x`` is the
+    column vector whenever HiGHS reports a finite objective, else ``None``.
+    """
+    highs = core._Highs()
+    opts = core.HighsOptions()
+    opts.output_flag = False
+    for name, value in options.items():
+        setattr(opts, name, value)
+    if highs.passOptions(opts) == core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the solver options")
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    if warm_vector is not None:
+        sol = core.HighsSolution()
+        sol.col_value = np.asarray(warm_vector, dtype=float)
+        highs.setSolution(sol)
+    if callback is not None:
+        highs.setCallback(callback, None)
+        for kind in callback.kinds:
+            highs.startCallback(kind)
+    if highs.run() == core.HighsStatus.kError:
+        return highs.getModelStatus(), None, None
+
+    info = highs.getInfo()
+    x = None
+    if np.isfinite(info.objective_function_value):
+        x = np.asarray(highs.getSolution().col_value, dtype=float)
+        if x.size == 0 or not np.all(np.isfinite(x)):
+            x = None
+    return highs.getModelStatus(), info, x
+
+
+def solve_lp(
+    form,
+    lower_bounds: np.ndarray,
+    upper_bounds: np.ndarray,
+    deadline: Optional[float] = None,
+) -> Optional[Tuple[float, np.ndarray]]:
+    """Solve ``form``'s LP relaxation over the given bounds (minimising).
+
+    Returns ``(objective_value, x)``, or ``None`` when the LP has no optimum
+    or ``deadline`` (a ``time.perf_counter`` instant) has already passed.
+    """
+    options = {}
+    if deadline is not None:
+        remaining = deadline - time.perf_counter()
+        if remaining <= 0:
             return None
-        if not (hasattr(core, "_Highs") or hasattr(core, "Highs")):
-            return None
-        return core
-    except Exception:  # pragma: no cover - defensive
+        options["time_limit"] = max(0.05, remaining)
+    core = _highspy_core()
+    lp = lower(core, form, relax=True)
+    lp.col_lower_ = lower_bounds
+    lp.col_upper_ = upper_bounds
+    status, info, x = run(core, lp, options)
+    if status != core.HighsModelStatus.kOptimal or x is None:
         return None
+    return float(info.objective_function_value), x
 
 
 class _StallMonitor:
@@ -100,7 +210,7 @@ class _StallMonitor:
 
 
 class HighsBackend(SolverBackend):
-    """Solve models with SciPy's HiGHS mixed-integer solver."""
+    """Solve models with the HiGHS mixed-integer solver."""
 
     name = "highs"
 
@@ -125,7 +235,7 @@ class HighsBackend(SolverBackend):
                 backend=self.name,
             )
 
-        display = bool(options.pop("display", False))
+        highs_options = {"output_flag": bool(options.pop("display", False))}
         node_limit = options.pop("node_limit", None)
         presolve = options.pop("presolve", None)
         progressive = options.pop("progressive", None)
@@ -133,234 +243,43 @@ class HighsBackend(SolverBackend):
             raise SolverError(
                 f"unknown options for the HiGHS backend: {sorted(options)}"
             )
+        if time_limit is not None:
+            highs_options["time_limit"] = float(time_limit)
+        if mip_gap is not None:
+            highs_options["mip_rel_gap"] = float(mip_gap)
+        if presolve is not None:
+            highs_options["presolve"] = "on" if presolve else "off"
+        if node_limit is not None:
+            highs_options["mip_max_nodes"] = int(node_limit)
 
-        warm_vector = None
+        warm_vector = monitor = None
         if warm_start is not None:
             warm_vector = self.warm_start_vector(form, warm_start)
-
         core = _highspy_core()
-        is_mip = int(np.count_nonzero(form.integrality)) > 0
-        use_direct = core is not None and is_mip and (
-            warm_vector is not None or bool(progressive)
-        )
-        if use_direct:
-            return self._solve_direct(
-                core,
-                form,
-                start,
-                time_limit=time_limit,
-                mip_gap=mip_gap,
-                warm_vector=warm_vector,
-                display=display,
-                presolve=presolve,
-                node_limit=node_limit,
-                progressive=bool(progressive),
-            )
-        return self._solve_scipy(
-            form,
-            start,
-            time_limit=time_limit,
-            mip_gap=mip_gap,
-            display=display,
-            node_limit=node_limit,
-            presolve=presolve,
-        )
-
-    # ------------------------------------------------------------------ #
-    # the classic scipy.optimize.milp path (cold solves)
-    # ------------------------------------------------------------------ #
-
-    def _solve_scipy(
-        self,
-        form,
-        start: float,
-        time_limit,
-        mip_gap,
-        display: bool,
-        node_limit,
-        presolve,
-    ) -> Solution:
-        objective = form.objective.copy()
-        if form.maximize:
-            objective = -objective
-
-        constraints = []
-        if form.a_ub.shape[0] > 0:
-            constraints.append(
-                optimize.LinearConstraint(
-                    form.a_ub, -np.inf * np.ones(form.a_ub.shape[0]), form.b_ub
-                )
-            )
-        if form.a_eq.shape[0] > 0:
-            constraints.append(
-                optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq)
-            )
-
-        bounds = optimize.Bounds(form.lower, form.upper)
-
-        milp_options = {"disp": display}
-        if time_limit is not None:
-            milp_options["time_limit"] = float(time_limit)
-        if mip_gap is not None:
-            milp_options["mip_rel_gap"] = float(mip_gap)
-        if node_limit is not None:
-            milp_options["node_limit"] = int(node_limit)
-        if presolve is not None:
-            milp_options["presolve"] = bool(presolve)
-
-        try:
-            result = optimize.milp(
-                c=objective,
-                constraints=constraints,
-                integrality=form.integrality,
-                bounds=bounds,
-                options=milp_options,
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            raise SolverError(f"HiGHS backend failed: {exc}") from exc
-
-        elapsed = time.perf_counter() - start
-        return self._interpret(form, result, elapsed)
-
-    # ------------------------------------------------------------------ #
-    # the direct (warm-started / progressive) path
-    # ------------------------------------------------------------------ #
-
-    def _build_lp(self, core, form):
-        """Lower a StandardForm to a ``HighsLp`` (built once, reused)."""
-        num_ub = form.a_ub.shape[0]
-        num_eq = form.a_eq.shape[0]
-        if num_ub and num_eq:
-            a = sparse.vstack([form.a_ub, form.a_eq], format="csc")
-        elif num_ub:
-            a = form.a_ub.tocsc()
-        else:
-            a = form.a_eq.tocsc()
-        row_lower = np.concatenate(
-            [np.full(num_ub, -core.kHighsInf), form.b_eq]
-        )
-        row_upper = np.concatenate([form.b_ub, form.b_eq])
-
-        objective = form.objective.copy()
-        if form.maximize:
-            objective = -objective
-
-        lp = core.HighsLp()
-        lp.num_col_ = form.num_variables
-        lp.num_row_ = num_ub + num_eq
-        lp.col_cost_ = objective
-        lp.col_lower_ = form.lower
-        lp.col_upper_ = form.upper
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_ = form.num_variables
-        lp.a_matrix_.num_row_ = num_ub + num_eq
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
-        lp.integrality_ = [
-            core.HighsVarType.kInteger if flag else core.HighsVarType.kContinuous
-            for flag in form.integrality
-        ]
-        return lp
-
-    def _run_direct_once(
-        self,
-        core,
-        lp,
-        time_limit,
-        mip_gap,
-        warm_vector,
-        display: bool,
-        presolve,
-        node_limit=None,
-        monitor: Optional[_StallMonitor] = None,
-    ) -> Tuple[object, Optional[np.ndarray], Optional[float], Optional[int]]:
-        """One HiGHS run; returns ``(model_status, x, gap, nodes)``."""
-        highs_cls = getattr(core, "_Highs", None) or getattr(core, "Highs")
-        highs = highs_cls()
-        opts = core.HighsOptions()
-        opts.output_flag = display
-        if time_limit is not None:
-            opts.time_limit = float(time_limit)
-        if mip_gap is not None:
-            opts.mip_rel_gap = float(mip_gap)
-        if presolve is not None:
-            opts.presolve = "on" if presolve else "off"
-        if node_limit is not None:
-            opts.mip_max_nodes = int(node_limit)
-        if highs.passOptions(opts) == core.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the solver options")
-        if highs.passModel(lp) == core.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the model")
-        if warm_vector is not None:
-            sol = core.HighsSolution()
-            sol.col_value = np.asarray(warm_vector, dtype=float)
-            highs.setSolution(sol)
-        if monitor is not None:
-            highs.setCallback(monitor, None)
-            for kind in monitor.kinds:
-                highs.startCallback(kind)
-        if highs.run() == core.HighsStatus.kError:
-            return highs.getModelStatus(), None, None, None
-
-        status = highs.getModelStatus()
-        info = highs.getInfo()
-        has_solution = np.isfinite(info.objective_function_value)
-        x = None
-        if has_solution:
-            x = np.asarray(highs.getSolution().col_value, dtype=float)
-            if x.size == 0 or not np.all(np.isfinite(x)):
-                x = None
-        gap = getattr(info, "mip_gap", None)
-        gap = float(gap) if gap is not None and np.isfinite(gap) else None
-        nodes = getattr(info, "mip_node_count", None)
-        nodes = int(nodes) if nodes is not None and nodes >= 0 else None
-        return status, x, gap, nodes
-
-    def _solve_direct(
-        self,
-        core,
-        form,
-        start: float,
-        time_limit,
-        mip_gap,
-        warm_vector,
-        display: bool,
-        presolve,
-        node_limit,
-        progressive: bool,
-    ) -> Solution:
-        monitor = None
-        if progressive and time_limit is not None:
+        is_mip = bool(np.any(form.integrality))
+        if not is_mip:
+            warm_vector = None  # an LP has no incumbent to seed
+        elif progressive and time_limit is not None:
             monitor = _StallMonitor(core.cb, STALL_WINDOW * float(time_limit))
-        status, x, gap, nodes = self._run_direct_once(
-            core, self._build_lp(core, form), time_limit, mip_gap, warm_vector,
-            display, presolve, node_limit, monitor,
-        )
-        return self._interpret_direct(
-            core, form, status, x, gap, time.perf_counter() - start,
-            iterations=nodes,
-        )
+        status, info, x = run(core, lower(core, form), highs_options, warm_vector, monitor)
+        if not is_mip and status != core.HighsModelStatus.kOptimal:
+            x = None  # a non-optimal LP iterate need not be feasible
+        return self._solution(core, form, status, info, x, time.perf_counter() - start)
 
-    def _interpret_direct(
-        self, core, form, status, x, gap, elapsed: float,
-        iterations: Optional[int] = None,
-    ) -> Solution:
-        """Map a direct HiGHS run to a :class:`Solution`.
+    def _solution(self, core, form, status, info, x, elapsed: float) -> Solution:
+        """Map a HiGHS run to a :class:`Solution`.
 
-        Only the stall monitor interrupts a run, so ``kInterrupt`` means a
+        A time, iteration or node limit (``kSolutionLimit``) gives
+        ``FEASIBLE`` with an incumbent and ``TIME_LIMIT`` without one.  Only
+        the stall monitor interrupts a run, so ``kInterrupt`` means a
         progressive solve stalled; its incumbent is ``FEASIBLE``.
         """
         has_solution = x is not None
         hs = core.HighsModelStatus
         if status == hs.kOptimal and has_solution:
             our_status = SolveStatus.OPTIMAL
-        elif status in (hs.kTimeLimit, hs.kIterationLimit) and has_solution:
-            our_status = SolveStatus.FEASIBLE
-        elif status in (hs.kTimeLimit, hs.kIterationLimit):
-            our_status = SolveStatus.TIME_LIMIT
+        elif status in (hs.kTimeLimit, hs.kIterationLimit, hs.kSolutionLimit):
+            our_status = SolveStatus.FEASIBLE if has_solution else SolveStatus.TIME_LIMIT
         elif status == hs.kInfeasible:
             our_status = SolveStatus.INFEASIBLE
         elif status in (hs.kUnbounded, hs.kUnboundedOrInfeasible):
@@ -370,86 +289,26 @@ class HighsBackend(SolverBackend):
         else:
             our_status = SolveStatus.ERROR
 
-        message = f"HiGHS status: {status}" if status is not None else ""
+        message = f"HiGHS status: {status}"
         if status == hs.kInterrupt:
             message = (
                 f"progressive solve stalled: no {MIN_IMPROVEMENT:.0%} improvement "
                 f"in the last {STALL_WINDOW:.0%} of the budget; {message}"
             )
-        if not has_solution:
-            return Solution(
-                status=our_status,
-                solve_time=elapsed,
-                backend=self.name,
-                message=message,
-                gap=gap,
-                iterations=iterations,
-            )
-        values = self.assignment_from_vector(form, x)
-        vector = np.array([values[var] for var in form.variables])
-        objective = self.objective_value(form, vector)
-        return Solution(
+        gap = nodes = None
+        if info is not None:
+            gap = float(info.mip_gap) if np.isfinite(info.mip_gap) else None
+            nodes = int(info.mip_node_count) if info.mip_node_count >= 0 else None
+        solution = Solution(
             status=our_status,
-            objective=objective,
-            values=values,
-            solve_time=elapsed,
-            backend=self.name,
-            message=message,
-            gap=gap,
-            iterations=iterations,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _interpret(self, form, result, elapsed: float) -> Solution:
-        """Map SciPy's ``OptimizeResult`` to a :class:`Solution`."""
-        # scipy.optimize.milp status codes:
-        #   0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded, 4 other
-        status_code = int(getattr(result, "status", 4))
-        x = getattr(result, "x", None)
-        message = str(getattr(result, "message", ""))
-        gap = getattr(result, "mip_gap", None)
-        gap = float(gap) if gap is not None else None
-        nodes = getattr(result, "mip_node_count", None)
-        nodes = int(nodes) if nodes is not None and np.isfinite(nodes) else None
-
-        has_solution = x is not None and np.all(np.isfinite(x))
-
-        if status_code == 0 and has_solution:
-            status = SolveStatus.OPTIMAL
-        elif status_code == 1 and has_solution:
-            status = SolveStatus.FEASIBLE
-        elif status_code == 1:
-            status = SolveStatus.TIME_LIMIT
-        elif status_code == 2:
-            status = SolveStatus.INFEASIBLE
-        elif status_code == 3:
-            status = SolveStatus.UNBOUNDED
-        elif has_solution:
-            status = SolveStatus.FEASIBLE
-        else:
-            status = SolveStatus.ERROR
-
-        if not has_solution:
-            return Solution(
-                status=status,
-                solve_time=elapsed,
-                backend=self.name,
-                message=message,
-                gap=gap,
-                iterations=nodes,
-            )
-
-        values = self.assignment_from_vector(form, np.asarray(x, dtype=float))
-        vector = np.array([values[var] for var in form.variables])
-        objective = self.objective_value(form, vector)
-        return Solution(
-            status=status,
-            objective=objective,
-            values=values,
             solve_time=elapsed,
             backend=self.name,
             message=message,
             gap=gap,
             iterations=nodes,
         )
+        if has_solution:
+            solution.values = self.assignment_from_vector(form, x)
+            vector = np.array([solution.values[var] for var in form.variables])
+            solution.objective = self.objective_value(form, vector)
+        return solution

@@ -9,8 +9,8 @@ objective.  It can be exported to the standard matrix form
                 lb <= x <= ub
                 x_i integer for i in `integrality`
 
-which is the interface shared by the HiGHS backend (``scipy.optimize.milp``)
-and the pure-Python branch-and-bound backend.
+which is the interface shared by the HiGHS backend (SciPy's bundled HiGHS
+binding) and the pure-Python branch-and-bound backend.
 
 Two performance features back the progressive flow's fast path:
 

@@ -23,7 +23,8 @@ class SolveStatus(enum.Enum):
     ``UNBOUNDED``
         The objective can be improved without bound.
     ``TIME_LIMIT``
-        The time limit was reached before any feasible assignment was found.
+        A time or node limit was reached before any feasible assignment was
+        found.
     ``ERROR``
         The backend failed for an unexpected reason.
     """
@@ -63,8 +64,8 @@ class Solution:
         Free-form diagnostic text from the backend.
     iterations:
         Solver effort count when the backend reports one — branch-and-bound
-        nodes explored for the bundled B&B and HiGHS direct paths, ``None``
-        when the backend exposes no such counter (e.g. SciPy's milp).
+        nodes explored by either backend, ``None`` when there is no such
+        counter (e.g. HiGHS on a pure LP).
     """
 
     status: SolveStatus

@@ -171,6 +171,29 @@ class TestHighsSpecifics:
         solution = model.solve(backend="highs", time_limit=10.0)
         assert solution.is_feasible
 
+    def test_node_limit_without_incumbent_is_a_limit_not_an_error(self, tiny_netlist):
+        """HiGHS ends a node-capped search with ``kSolutionLimit``; with no
+        incumbent that reads as ``TIME_LIMIT``, nodes counted, as in B&B."""
+        from repro.core.config import PILPConfig
+        from repro.core.model_builder import BuildOptions, RficModelBuilder
+
+        options = BuildOptions(
+            blurred_devices=False,
+            exact_lengths=True,
+            allow_overlap=False,
+            include_device_blocks=True,
+        )
+        model = RficModelBuilder(tiny_netlist, PILPConfig.fast(), options).build().model
+        solution = model.solve(backend="highs", node_limit=20)
+        assert solution.status is SolveStatus.TIME_LIMIT
+        assert solution.iterations == 20
+
+    def test_missing_binding_raises_naming_it(self, monkeypatch):
+        monkeypatch.setattr(highs_module, "_core", None)
+        model, _ = knapsack_model([2, 3, 4], [3, 4, 5], 6)
+        with pytest.raises(SolverError, match=r"scipy\.optimize\._highspy\._core"):
+            HighsBackend().solve(model)
+
 
 class TestWarmStarts:
     """Warm-started solves must agree with cold solves on the optimum."""
@@ -223,16 +246,6 @@ class TestWarmStarts:
         assert progressive.status is SolveStatus.OPTIMAL
         assert progressive.objective == pytest.approx(plain.objective)
 
-    def test_progressive_solve_falls_back_to_milp_without_binding(self, monkeypatch):
-        monkeypatch.setattr(highs_module, "_highspy_core", lambda: None)
-        model, items = self._model()
-        solution = model.solve(
-            backend="highs", time_limit=10.0, progressive=True,
-            warm_start={items[0]: 1.0},
-        )
-        assert solution.is_feasible
-        assert solution.objective == pytest.approx(14.0)
-
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestRepair:
@@ -278,8 +291,6 @@ class TestStallMonitor:
     @pytest.fixture
     def monitor(self):
         core = highs_module._highspy_core()
-        if core is None:
-            pytest.skip("SciPy's bundled HiGHS binding is unavailable")
         return highs_module._StallMonitor(core.cb, self.WINDOW)
 
     @staticmethod

@@ -63,8 +63,9 @@ def test_warm_start_covers_most_of_the_model(tiny_netlist):
 def test_highs_binding_exposes_the_progressive_surface():
     """Pin the private ``scipy.optimize._highspy`` names the backend uses.
 
-    Progressive solves stop themselves through these callbacks; if a SciPy
-    release renames one, ``_highspy_core`` must notice and fall back.
+    Every HiGHS solve runs on this binding, and progressive solves stop
+    themselves through these callbacks; a SciPy release that renames one
+    must fail here rather than inside a flow.
     """
     from repro.ilp.backends.highs import _highspy_core
 
@@ -79,6 +80,60 @@ def test_highs_binding_exposes_the_progressive_surface():
     assert hasattr(core.cb.HighsCallbackOutput, "running_time")
     assert hasattr(core.cb.HighsCallbackOutput, "objective_function_value")
     assert hasattr(core.HighsModelStatus, "kInterrupt")
+
+
+def test_every_solve_takes_the_one_highs_path(tiny_netlist, monkeypatch):
+    """No solve reaches SciPy's public ``milp`` or ``linprog`` wrappers."""
+    from scipy import optimize
+
+    from repro.core.phase1 import build_phase1_model, phase1_seeds
+    from repro.ilp import Model, get_backend
+    from repro.ilp.solution import SolveStatus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve left the bundled HiGHS binding")
+
+    monkeypatch.setattr(optimize, "milp", refuse)
+    monkeypatch.setattr(optimize, "linprog", refuse)
+
+    mip = Model()
+    n = mip.add_integer("n", lb=0, ub=10)
+    mip.add_constraint(2 * n <= 7)
+    mip.set_objective(n, sense="max")
+    assert mip.solve(backend="highs").status is SolveStatus.OPTIMAL
+    assert mip.solve(backend="branch-and-bound").status is SolveStatus.OPTIMAL
+
+    lp = Model()
+    x = lp.add_continuous("x", ub=4)
+    lp.set_objective(x, sense="max")
+    assert lp.solve(backend="highs").objective == pytest.approx(4.0)
+
+    config = PILPConfig.fast()
+    seeds = phase1_seeds(tiny_netlist, config)
+    build = build_phase1_model(tiny_netlist, config, seeds)
+    repaired = get_backend("highs").repair(build.model, warm_start_from_seeds(build, seeds))
+    assert repaired is not None and repaired.status is SolveStatus.FEASIBLE
+
+
+def test_highs_binding_is_loaded_before_workers_fork():
+    """The runner forks a worker per job; importing the binding there (all of
+    ``scipy.optimize``) would be paid again by every job."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro.runner; print('scipy.optimize._highspy._core' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("warm_start, mip_solves", [(True, 0), (False, 1)])
