@@ -28,9 +28,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
+
+# Before anything imports numpy or scipy: solve processes (``serve``,
+# ``batch`` and every worker they fork) make only small BLAS calls, which
+# gain nothing from threads, yet each idle OpenBLAS pool thread spins after
+# every call on a core another job needs.  An explicit setting still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from repro import __version__
 from repro.circuit.loader import load_netlist

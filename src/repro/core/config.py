@@ -78,7 +78,10 @@ class PhaseSettings:
     choices and solves the remaining LP once (see :mod:`repro.core.phase1`).
     Its ``time_limit``, ``mip_gap`` and ``progressive`` therefore apply only
     to the cold path (``warm_start=False``) and to the MIP fallback that runs
-    when the pinned LP has no optimum.
+    when the pinned LP has no optimum.  A warm-started Phase 2 repairs its
+    warm start the same way and keeps it when the repaired layout passes DRC
+    (see :mod:`repro.core.phase2`); its ``time_limit``, ``mip_gap`` and
+    ``progressive`` apply only when the repair is not clean.
     """
 
     time_limit: Optional[float] = 120.0

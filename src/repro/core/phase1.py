@@ -41,7 +41,6 @@ from repro.core.warm_start import solve_phase_model, warm_start_from_seeds
 from repro.core.windows import mean_device_extent, window_around
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.ilp.backends import get_backend
 
 
 def run_phase1(
@@ -73,13 +72,8 @@ def run_phase1(
     build = build_phase1_model(netlist, config, seeds)
     model_build_time = time.perf_counter() - build_started
     settings = config.phase1
-    warm_values = None
-    solution = None
-    if settings.warm_start:
-        warm_values = warm_start_from_seeds(build, seeds)
-        solution = get_backend(settings.backend).repair(build.model, warm_values)
-    if solution is None:
-        solution = solve_phase_model(build, settings, warm_values)
+    warm_values = warm_start_from_seeds(build, seeds) if settings.warm_start else None
+    solution = solve_phase_model(build, settings, warm_values, accept=lambda repaired: True)
     runtime = time.perf_counter() - start
     if not solution.is_feasible:
         raise InfeasibleModelError(

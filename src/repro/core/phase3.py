@@ -22,13 +22,13 @@ the soft model if that turns out to be infeasible within its window.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
-from repro.core.model_builder import BuildOptions, RficModelBuilder
+from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
 from repro.core.result import PhaseResult
 from repro.core.warm_start import solve_phase_model, warm_start_from_geometry
 from repro.core.windows import (
@@ -37,6 +37,7 @@ from repro.core.windows import (
     window_around,
 )
 from repro.geometry.point import Point, midpoint
+from repro.ilp.solution import Solution
 from repro.layout.drc import DRCReport, run_drc
 from repro.layout.layout import Layout
 
@@ -126,10 +127,64 @@ def run_phase3_iteration(
     iteration: int,
     plan: Optional[RefinementPlan] = None,
 ) -> PhaseResult:
-    """Solve one refinement iteration starting from ``layout``."""
+    """Solve one refinement iteration starting from ``layout``.
+
+    An infeasible hard-length attempt falls back to the soft model; the
+    returned runtime, model-build time and solver time cover both solves.
+    """
     start = time.perf_counter()
     plan = plan or plan_refinement(netlist, layout, config, allow_exact=iteration > 0)
+    build, solution, model_build_time = _solve_iteration(netlist, layout, config, iteration, plan)
 
+    if not solution.is_feasible and plan.use_exact_lengths:
+        # The hard-length model can be infeasible inside the current windows;
+        # fall back to the soft model for this iteration.
+        failed_solve_time = solution.solve_time
+        plan = replace(plan, use_exact_lengths=False)
+        build, solution, build_time = _solve_iteration(netlist, layout, config, iteration, plan)
+        solution = solution.after_attempts(failed_solve_time)
+        model_build_time += build_time
+
+    runtime = time.perf_counter() - start
+    if not solution.is_feasible:
+        raise InfeasibleModelError(
+            f"phase 3 iteration {iteration} for {netlist.name!r} returned "
+            f"{solution.status.value} after {runtime:.1f}s"
+        )
+
+    refined = build.extract_layout(
+        solution,
+        metadata={
+            "flow": "p-ilp",
+            "phase": f"phase3[{iteration}]",
+            "solver_status": solution.status.value,
+            "exact_lengths": plan.use_exact_lengths,
+            "inserted_chain_points": dict(plan.inserted_points),
+            "deleted_chain_points": dict(plan.deleted_points),
+            "rotatable_devices": sorted(plan.rotatable_devices),
+        },
+    )
+    return PhaseResult(
+        phase=f"phase3[{iteration}]",
+        layout=refined,
+        solution=solution,
+        runtime=runtime,
+        length_errors=build.length_errors(solution),
+        bend_counts=build.bend_counts(solution),
+        total_overlap=build.total_overlap(solution),
+        model_statistics=build.model.statistics(),
+        model_build_time=model_build_time,
+    )
+
+
+def _solve_iteration(
+    netlist: Netlist,
+    layout: Layout,
+    config: PILPConfig,
+    iteration: int,
+    plan: RefinementPlan,
+) -> Tuple[BuildResult, Solution, float]:
+    """Build and solve one iteration's model; also returns the build seconds."""
     escalation = _WEIGHT_ESCALATION ** iteration
     weights = config.weights
     escalated = config.with_updates(
@@ -173,7 +228,7 @@ def run_phase3_iteration(
     )
     build_started = time.perf_counter()
     build = builder.build()
-    model_build_time = time.perf_counter() - build_started
+    build_time = time.perf_counter() - build_started
     settings = config.phase3
     warm_values = None
     if settings.warm_start:
@@ -185,51 +240,7 @@ def run_phase3_iteration(
             {name: list(points) for name, points in plan.chain_positions.items()},
             rotations=fixed_rotations,
         )
-    solution = solve_phase_model(build, settings, warm_values)
-
-    if not solution.is_feasible and plan.use_exact_lengths:
-        # The hard-length model can be infeasible inside the current windows;
-        # fall back to the soft model for this iteration.
-        fallback_plan = RefinementPlan(
-            chain_positions=plan.chain_positions,
-            inserted_points=plan.inserted_points,
-            deleted_points=plan.deleted_points,
-            rotatable_devices=plan.rotatable_devices,
-            use_exact_lengths=False,
-            forced_spacing_pairs=plan.forced_spacing_pairs,
-        )
-        return run_phase3_iteration(netlist, layout, config, iteration, fallback_plan)
-
-    runtime = time.perf_counter() - start
-    if not solution.is_feasible:
-        raise InfeasibleModelError(
-            f"phase 3 iteration {iteration} for {netlist.name!r} returned "
-            f"{solution.status.value} after {runtime:.1f}s"
-        )
-
-    refined = build.extract_layout(
-        solution,
-        metadata={
-            "flow": "p-ilp",
-            "phase": f"phase3[{iteration}]",
-            "solver_status": solution.status.value,
-            "exact_lengths": plan.use_exact_lengths,
-            "inserted_chain_points": dict(plan.inserted_points),
-            "deleted_chain_points": dict(plan.deleted_points),
-            "rotatable_devices": sorted(plan.rotatable_devices),
-        },
-    )
-    return PhaseResult(
-        phase=f"phase3[{iteration}]",
-        layout=refined,
-        solution=solution,
-        runtime=runtime,
-        length_errors=build.length_errors(solution),
-        bend_counts=build.bend_counts(solution),
-        total_overlap=build.total_overlap(solution),
-        model_statistics=build.model.statistics(),
-        model_build_time=model_build_time,
-    )
+    return build, solve_phase_model(build, settings, warm_values), build_time
 
 
 def run_phase3(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.checkpoint import (
     CheckpointSink,
@@ -127,7 +126,7 @@ class PILPLayoutGenerator:
             save_checkpoint(phase1, phase1.layout, None, 0)
 
         if "phase2" not in done:
-            phase2 = self._run_phase2_with_retry(netlist, current_layout, config)
+            phase2 = run_phase2(netlist, current_layout, config)
             phases.append(phase2)
             current_layout = phase2.layout
             save_checkpoint(phase2, phase2.layout, None, 0)
@@ -181,24 +180,6 @@ class PILPLayoutGenerator:
             snapshots[phase.phase] = phase.layout
         snapshots["final"] = result.layout
         return snapshots
-
-    # ------------------------------------------------------------------ #
-
-    def _run_phase2_with_retry(
-        self, netlist: Netlist, phase1_layout: Layout, config: PILPConfig
-    ) -> PhaseResult:
-        """Run Phase 2, widening the confinement window once if needed.
-
-        Phase 1 places device points optimistically; occasionally the real
-        device outlines cannot all be legalised within τ_d of those points.
-        The paper handles this by making τ_d "large enough"; we retry once
-        with a doubled window before giving up.
-        """
-        try:
-            return run_phase2(netlist, phase1_layout, config)
-        except InfeasibleModelError:
-            widened = config.with_updates(confinement_window=2.0 * config.confinement_window)
-            return run_phase2(netlist, phase1_layout, widened)
 
 
 def generate_pilp_layout(

@@ -29,12 +29,14 @@ identical to the uninterrupted run's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.circuit.device import Rotation
 from repro.core.model_builder import BuildResult, NetVars, SegmentVars
 from repro.geometry.point import Point
+from repro.ilp.backends import get_backend
 from repro.ilp.expr import LinExpr, Variable
+from repro.ilp.solution import Solution
 
 #: Coordinate differences below this are treated as zero-length segments.
 _ZERO_TOL = 1.0e-9
@@ -351,25 +353,45 @@ def warm_start_from_seeds(
     return warm_start_from_geometry(build, dict(seeds), chain_points)
 
 
-def solve_phase_model(build: BuildResult, settings, warm_values=None):
+def solve_phase_model(
+    build: BuildResult,
+    settings,
+    warm_values=None,
+    accept: Optional[Callable[[Solution], bool]] = None,
+) -> Solution:
     """Solve a phase model honouring the phase's warm-start knobs.
 
     ``settings`` is a :class:`~repro.core.config.PhaseSettings`; the warm
     start is only forwarded when enabled there, and the progressive
     (stall-terminated) solve is requested from the HiGHS backend when
     configured.
+
+    ``accept`` makes the phase repair first: with a warm start enabled and
+    given, its LP repair (:meth:`~repro.ilp.backends.base.SolverBackend.repair`)
+    is returned as is when ``accept`` holds for it, and the MIP search runs
+    only when the pinned LP has no optimum or ``accept`` rejects the repair.
+    A rejected repair's solver time is added to the search's ``solve_time``.
     """
+    warm = bool(getattr(settings, "warm_start", False) and warm_values)
+    rejected_s = 0.0
+    if accept is not None and warm:
+        repaired = get_backend(settings.backend).repair(build.model, warm_values)
+        if repaired is not None:
+            if accept(repaired):
+                return repaired
+            rejected_s = repaired.solve_time
     kwargs = {}
-    if getattr(settings, "warm_start", False) and warm_values:
+    if warm:
         kwargs["warm_start"] = warm_values
     if getattr(settings, "progressive", False) and settings.backend == "highs":
         kwargs["progressive"] = True
-    return build.model.solve(
+    solution = build.model.solve(
         backend=settings.backend,
         time_limit=settings.time_limit,
         mip_gap=settings.mip_gap,
         **kwargs,
     )
+    return solution.after_attempts(rejected_s)
 
 
 def _evaluable(expr: LinExpr, values: Mapping[Variable, float]) -> bool:

@@ -1,0 +1,69 @@
+"""A phase's runtime and profile cover every solve attempt it made.
+
+Phase 2 retries in a doubled confinement window and a Phase-3 iteration
+falls back from the hard-length model to the soft one; the failed first
+attempt is rigged here to take ``FAILED_S`` and return ``INFEASIBLE``.
+"""
+
+import time
+from dataclasses import replace
+
+import pytest
+
+from repro.core import PILPLayoutGenerator, phase2, phase3
+from repro.core.config import PILPConfig
+from repro.core.phase1 import run_phase1
+from repro.ilp.solution import Solution, SolveStatus
+
+FAILED_S = 0.5
+
+
+def _fail(build, *args, **kwargs):
+    time.sleep(FAILED_S)
+    return Solution(status=SolveStatus.INFEASIBLE, solve_time=FAILED_S)
+
+
+def _recording(original, retries):
+    def solve(build, *args, **kwargs):
+        retries.append(original(build, *args, **kwargs))
+        return retries[-1]
+
+    return solve
+
+
+def _covers_both_attempts(entry, retry):
+    assert entry["solver_s"] == pytest.approx(FAILED_S + retry.solve_time, abs=1e-5)
+    assert entry["wall_s"] >= entry["solver_s"]
+
+
+def test_phase2_time_covers_the_attempt_before_the_widened_window(tiny_netlist, monkeypatch):
+    config = PILPConfig.fast()
+    retries = []
+    retry = _recording(phase2.solve_phase_model, retries)
+    attempts = iter([_fail, retry])
+    monkeypatch.setattr(
+        phase2, "solve_phase_model", lambda *args, **kwargs: next(attempts)(*args, **kwargs)
+    )
+    result = PILPLayoutGenerator(config).generate(tiny_netlist)
+    phase = result.phases[1]
+    assert phase.layout.metadata["confinement_window_um"] == 2.0 * config.confinement_window
+    _covers_both_attempts(result.profile()["phases"][1], retries[0])
+
+
+def test_phase3_time_covers_the_failed_hard_length_attempt(tiny_netlist, monkeypatch):
+    config = PILPConfig.fast()
+    layout = phase2.run_phase2(
+        tiny_netlist, run_phase1(tiny_netlist, config).layout, config
+    ).layout
+    plan = replace(phase3.plan_refinement(tiny_netlist, layout, config), use_exact_lengths=True)
+    retries = []
+    retry = _recording(phase3.solve_phase_model, retries)
+
+    def hard_fails(build, *args, **kwargs):
+        solve = _fail if build.options.exact_lengths else retry
+        return solve(build, *args, **kwargs)
+
+    monkeypatch.setattr(phase3, "solve_phase_model", hard_fails)
+    result = phase3.run_phase3_iteration(tiny_netlist, layout, config, 1, plan)
+    assert result.layout.metadata["exact_lengths"] is False
+    _covers_both_attempts(result.profile_entry(), retries[0])

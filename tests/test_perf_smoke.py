@@ -30,6 +30,20 @@ def _build(netlist):
     return RficModelBuilder(netlist, PILPConfig.fast(), options).build()
 
 
+def _count_highs_solves(monkeypatch):
+    from repro.ilp.backends.highs import HighsBackend
+
+    solves = []
+    original = HighsBackend.solve
+
+    def counting(self, *args, **kwargs):
+        solves.append(kwargs)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HighsBackend, "solve", counting)
+    return solves
+
+
 def test_standard_form_cache_returns_same_object(tiny_netlist):
     model = _build(tiny_netlist).model
     assert model.to_standard_form() is model.to_standard_form()
@@ -144,17 +158,9 @@ def test_phase1_repairs_its_seed_without_a_mip_search(
     from dataclasses import replace
 
     from repro.core.phase1 import run_phase1
-    from repro.ilp.backends.highs import HighsBackend
     from repro.ilp.solution import SolveStatus
 
-    solves = []
-    original = HighsBackend.solve
-
-    def counting(self, *args, **kwargs):
-        solves.append(kwargs)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(HighsBackend, "solve", counting)
+    solves = _count_highs_solves(monkeypatch)
     config = PILPConfig.fast()
     config = config.with_updates(phase1=replace(config.phase1, warm_start=warm_start))
     result = run_phase1(tiny_netlist, config)
@@ -164,6 +170,79 @@ def test_phase1_repairs_its_seed_without_a_mip_search(
     else:
         assert solves[0]["warm_start"] is None
         assert result.solution.is_feasible
+
+
+def test_seeded_phase2_keeps_its_drc_clean_repair(tiny_netlist, monkeypatch):
+    """A seeded Phase 2 whose LP repair passes DRC runs no MIP search."""
+    from repro.core.phase1 import run_phase1
+    from repro.core.phase2 import run_phase2
+    from repro.ilp.solution import SolveStatus
+    from repro.layout.drc import run_drc
+
+    config = PILPConfig.fast()
+    phase1 = run_phase1(tiny_netlist, config)
+    solves = _count_highs_solves(monkeypatch)
+    result = run_phase2(tiny_netlist, phase1.layout, config)
+    assert len(solves) == 0
+    assert result.solution.status is SolveStatus.FEASIBLE
+    assert run_drc(result.layout).is_clean
+
+
+def test_phase2_searches_after_a_dirty_repair_or_without_a_warm_start(
+    tiny_netlist, monkeypatch
+):
+    """The repair gate rejects a repair with a violation; a cold Phase 2 never repairs."""
+    from dataclasses import replace
+
+    from repro.core import phase2
+    from repro.core.phase1 import run_phase1
+    from repro.layout.drc import DRCReport, DRCViolation, ViolationKind
+
+    config = PILPConfig.fast()
+    phase1 = run_phase1(tiny_netlist, config)
+    solves = _count_highs_solves(monkeypatch)
+    with monkeypatch.context() as patch:
+        violation = DRCViolation(ViolationKind.CROSSING, "ms_in", "ms_out")
+        patch.setattr(phase2, "run_drc", lambda layout: DRCReport([violation]))
+        assert phase2.run_phase2(tiny_netlist, phase1.layout, config).solution.is_feasible
+    assert len(solves) == 1 and solves[0]["warm_start"]
+
+    cold = config.with_updates(phase2=replace(config.phase2, warm_start=False))
+    solves.clear()
+    assert phase2.run_phase2(tiny_netlist, phase1.layout, cold).solution.is_feasible
+    assert len(solves) == 1 and solves[0]["warm_start"] is None
+
+
+def test_solve_processes_run_blas_on_the_calling_thread():
+    """Importing the CLI defaults OpenBLAS to one thread unless one is set."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import os, repro.cli; tasks = '/proc/self/task'; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], "
+        "len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def probe(**extra):
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**env, "PYTHONPATH": src, **extra},
+        ).stdout.split()
+
+    setting, threads = probe()
+    assert setting == "1"
+    if threads != "-":
+        assert threads == "1"
+    assert probe(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
 
 def test_rf_propagation_is_memoised():
