@@ -43,7 +43,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.ilp.compile import ColumnExpr, ConstraintBatch
 from repro.ilp.expr import LinExpr, Variable, lin_sum
-from repro.ilp.linearize import equal_if, exactly_one
+from repro.ilp.linearize import add_equal_if_rows, equal_if, exactly_one
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution
 from repro.layout.layout import Layout
@@ -627,7 +627,15 @@ class RficModelBuilder:
             direction: model.add_binary(f"{prefix}.s_{direction}")
             for direction in DIRECTIONS
         }
-        exactly_one(model, list(directions.values()), name=f"{prefix}.one_direction")
+        # Every row of the segment goes through one batch, in the order the
+        # expression API would add them (the direction choice, equation (6),
+        # then the box cover), so the standard form is the same either way.
+        rows = ConstraintBatch()
+        rows.add_eq(
+            1.0,
+            [(direction, 1.0) for direction in directions.values()],
+            name=f"{prefix}.one_direction",
+        )
 
         # The segment can never be longer than the spread of its two chain
         # points' variable bounds; using that spread as the length bound and
@@ -647,14 +655,19 @@ class RficModelBuilder:
         # Equation (6), linearised with conditional equalities: the selected
         # direction fixes which coordinate difference the length equals and
         # forces the perpendicular coordinates to coincide.
-        equal_if(model, directions["r"], length, x_b - x_a, local_m, f"{prefix}.len_r")
-        equal_if(model, directions["r"], y_b, y_a, local_m, f"{prefix}.straight_r")
-        equal_if(model, directions["l"], length, x_a - x_b, local_m, f"{prefix}.len_l")
-        equal_if(model, directions["l"], y_b, y_a, local_m, f"{prefix}.straight_l")
-        equal_if(model, directions["u"], length, y_b - y_a, local_m, f"{prefix}.len_u")
-        equal_if(model, directions["u"], x_b, x_a, local_m, f"{prefix}.straight_u")
-        equal_if(model, directions["d"], length, y_a - y_b, local_m, f"{prefix}.len_d")
-        equal_if(model, directions["d"], x_b, x_a, local_m, f"{prefix}.straight_d")
+        for direction, delta, straight in (
+            ("r", [(x_b, 1.0), (x_a, -1.0)], (y_b, y_a)),
+            ("l", [(x_a, 1.0), (x_b, -1.0)], (y_b, y_a)),
+            ("u", [(y_b, 1.0), (y_a, -1.0)], (x_b, x_a)),
+            ("d", [(y_a, 1.0), (y_b, -1.0)], (x_b, x_a)),
+        ):
+            switch = directions[direction]
+            add_equal_if_rows(
+                rows, switch, length, delta, local_m, f"{prefix}.len_{direction}"
+            )
+            add_equal_if_rows(
+                rows, switch, *straight, local_m, f"{prefix}.straight_{direction}"
+            )
 
         # Expanded bounding box of the segment (Figure 2(a) plus the optional
         # Phase-1 reservation margin of Figure 8).  The box is constrained to
@@ -674,9 +687,7 @@ class RficModelBuilder:
         box_yu = model.add_continuous(
             f"{prefix}.box_yu", lb=-slack_extent, ub=area.height + slack_extent
         )
-        # Cover rows emitted through the batched fast path: box <= point -+
-        # margin per coordinate and chain point.
-        cover = ConstraintBatch()
+        # Cover rows: box <= point -+ margin per coordinate and chain point.
         for side, point, sign, tag in (
             (box_xl, x_a, -1.0, "box_xl_a"),
             (box_xl, x_b, -1.0, "box_xl_b"),
@@ -689,15 +700,15 @@ class RficModelBuilder:
         ):
             if sign < 0:
                 # box_min <= point - margin
-                cover.add_le(
+                rows.add_le(
                     -margin, [(side, 1.0), (point, -1.0)], name=f"{prefix}.{tag}"
                 )
             else:
                 # box_max >= point + margin
-                cover.add_ge(
+                rows.add_ge(
                     margin, [(side, 1.0), (point, -1.0)], name=f"{prefix}.{tag}"
                 )
-        model.add_linear_batch(cover)
+        model.add_linear_batch(rows)
 
         return SegmentVars(
             net_name=net.name,

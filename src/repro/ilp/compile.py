@@ -80,6 +80,21 @@ class ColumnExpr:
         return ColumnExpr(cols, vals, 0.0)
 
 
+def _column_terms(value: TermsLike) -> Tuple[Iterable[Tuple[int, float]], float]:
+    """``value``'s ``(column, coefficient)`` pairs and constant.
+
+    The same values :meth:`ColumnExpr.lower` gives, without building a
+    :class:`ColumnExpr` per part of every row.
+    """
+    if isinstance(value, ColumnExpr):
+        return zip(value.cols, value.vals), value.constant
+    if isinstance(value, Variable):
+        return ((value.index, 1.0),), 0.0
+    if isinstance(value, LinExpr):
+        return [(var.index, coeff) for var, coeff in value.coeffs.items()], value.constant
+    return [(var.index, float(coeff)) for var, coeff in value], 0.0
+
+
 class ConstraintBatch:
     """Accumulates constraint rows as COO triplets for one bulk insertion.
 
@@ -124,10 +139,11 @@ class ConstraintBatch:
         vals: List[float] = []
         offset = 0.0
         seen: Dict[int, int] = {}
+        merged = False
         for part in parts:
-            lowered = ColumnExpr.lower(part)
-            offset += lowered.constant
-            for col, val in zip(lowered.cols, lowered.vals):
+            terms, constant = _column_terms(part)
+            offset += constant
+            for col, val in terms:
                 if abs(val) <= _DROP_TOL:
                     # LinExpr drops such a term before it merges.
                     continue
@@ -138,8 +154,9 @@ class ConstraintBatch:
                     vals.append(val)
                 else:
                     vals[slot] += val
+                    merged = True
         # Merged duplicates can also cancel below the tolerance.
-        if any(abs(v) <= _DROP_TOL for v in vals):
+        if merged and any(abs(v) <= _DROP_TOL for v in vals):
             kept = [(c, v) for c, v in zip(cols, vals) if abs(v) > _DROP_TOL]
             cols = [c for c, _ in kept]
             vals = [v for _, v in kept]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from repro.errors import ModelError
+from repro.ilp.compile import ColumnExpr, ConstraintBatch, TermsLike
 from repro.ilp.expr import Constraint, ExprLike, LinExpr, Variable
 from repro.ilp.model import Model
 
@@ -54,6 +55,34 @@ def equal_if(
     c1 = model.add_constraint(lhs_expr - rhs_expr <= slack, name=f"{name}.eqif_le" if name else "")
     c2 = model.add_constraint(rhs_expr - lhs_expr <= slack, name=f"{name}.eqif_ge" if name else "")
     return [c1, c2]
+
+
+def add_equal_if_rows(
+    batch: ConstraintBatch,
+    switch: Variable,
+    lhs: TermsLike,
+    rhs: TermsLike,
+    big_m: float,
+    name: str = "",
+) -> None:
+    """Append :func:`equal_if`'s two rows to ``batch`` (the batched fast path).
+
+    The rows, their term order and their names are those :func:`equal_if`
+    adds, so a model built either way lowers to the same standard form.
+    """
+    _require_binary(switch, "switch")
+    big_m = float(big_m)
+    lhs_cols = ColumnExpr.lower(lhs)
+    rhs_cols = ColumnExpr.lower(rhs)
+    relax = [(switch, big_m)]
+    batch.add_le(
+        big_m, lhs_cols, ColumnExpr.lower(rhs_cols, -1.0), relax,
+        name=f"{name}.eqif_le" if name else "",
+    )
+    batch.add_le(
+        big_m, rhs_cols, ColumnExpr.lower(lhs_cols, -1.0), relax,
+        name=f"{name}.eqif_ge" if name else "",
+    )
 
 
 def leq_if(

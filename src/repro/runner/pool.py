@@ -10,6 +10,11 @@ Each job gets
   kill, ``os._exit`` — yields a ``"failed"`` outcome, not a broken batch),
 * **structured progress events** via an optional callback.
 
+The pool does not poll.  Between settlements it blocks in
+:func:`multiprocessing.connection.wait` on every running job's pipe and
+process sentinel, with a timeout at the nearest per-job deadline or crash
+grace end, so a job settles as soon as its worker reports or exits.
+
 Identical jobs (equal content hashes) inside one batch are executed once
 and their outcome is shared.  ``workers=0`` runs everything inline in the
 current process — no isolation, but no fork overhead either, which is the
@@ -29,11 +34,12 @@ set of statistics).
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.result import FlowResult
 from repro.faults import FAULTS
@@ -47,8 +53,9 @@ from repro.runner.jobs import LayoutJob
 
 PathLike = Union[str, Path]
 
-#: Seconds between scheduler sweeps while jobs are in flight.
-_POLL_INTERVAL = 0.05
+#: Seconds a child that exited without a report gets before it counts as
+#: crashed: its report may still be in flight through the pipe.
+_CRASH_GRACE = 0.5
 
 
 @dataclass
@@ -407,8 +414,8 @@ class WorkerPool:
                     if stop_when and stop_when(outcome):
                         raise _StopBatch()
                 launch()
-                if pending or running:
-                    time.sleep(_POLL_INTERVAL)
+                if running:
+                    _wait_for_change(running.values())
         except _StopBatch:
             stopped = True
         finally:
@@ -508,7 +515,7 @@ class WorkerPool:
             if state.dead_since is None:
                 state.dead_since = now
                 return None
-            if now - state.dead_since < 0.5:
+            if now - state.dead_since < _CRASH_GRACE:
                 return None
             LOG.log(
                 "worker.crashed",
@@ -593,6 +600,30 @@ class WorkerPool:
         )
         for callback in callbacks:
             callback(event)
+
+
+def _wait_for_change(running: Iterable[_Running]) -> None:
+    """Block until some running job may have something to settle.
+
+    Wakes on a report (or EOF) on a job's pipe, on a child's exit, at the
+    nearest per-job deadline, or when a silent dead child's crash grace
+    ends.  A handle already known to be ready is left out — a pipe at EOF,
+    the sentinel of a child in its grace — so the caller's loop never
+    spins.
+    """
+    handles: List[object] = []
+    wake_at: List[float] = []
+    for state in running:
+        if state.message is None and not state.conn_eof:
+            handles.append(state.conn)
+        if state.deadline is not None:
+            wake_at.append(state.deadline)
+        if state.dead_since is None:
+            handles.append(state.process.sentinel)
+        else:
+            wake_at.append(state.dead_since + _CRASH_GRACE)
+    timeout = max(0.0, min(wake_at) - time.perf_counter()) if wake_at else None
+    multiprocessing.connection.wait(handles, timeout)
 
 
 class _StopBatch(Exception):

@@ -818,8 +818,14 @@ class LayoutScheduler:
         )
         cursor = worker_wall
         if outcome.status == "completed":
-            # Fork + pipe + payload overhead: worker wall minus flow time.
-            fork_s = max(0.0, worker_s - float(outcome.runtime))
+            # Fork + pipe + payload overhead: worker wall minus flow time
+            # and minus the cache put, which has its own span below.
+            fork_s = max(
+                0.0,
+                worker_s
+                - float(outcome.runtime)
+                - float(profile.get("cache_put_s", 0.0)),
+            )
             self.traces.span(
                 key, "worker_fork", worker_wall, fork_s, parent="worker"
             )

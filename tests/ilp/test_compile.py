@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import ModelError
 from repro.ilp import ConstraintBatch, Model, Sense, lin_sum
 from repro.ilp.expr import LinExpr
+from repro.ilp.linearize import add_equal_if_rows, equal_if
 
 
 def _assert_forms_equal(first, second):
@@ -234,3 +235,64 @@ def test_objective_property_returns_a_copy():
     leaked += 10 * x  # must not mutate the model's objective
     assert model.objective.coeffs[x] == pytest.approx(2.0)
     assert model.to_standard_form().objective[x.index] == pytest.approx(2.0)
+
+
+# --------------------------------------------------------------------------- #
+# batched linearisation rows == their expression-API counterparts
+# --------------------------------------------------------------------------- #
+
+
+#: ``(x, y, z) -> (lhs, rhs, lhs as batch parts, rhs as batch parts)``.
+_EQUAL_IF_CASES = {
+    "variables": lambda x, y, z: (x, y, x, y),
+    "difference": lambda x, y, z: (z, y - x, z, [(y, 1.0), (x, -1.0)]),
+    "shared_column": lambda x, y, z: (
+        2.0 * x + y, x - z, [(x, 2.0), (y, 1.0)], [(x, 1.0), (z, -1.0)]
+    ),
+    "cancelling_column": lambda x, y, z: (
+        x + y, x - z, [(x, 1.0), (y, 1.0)], [(x, 1.0), (z, -1.0)]
+    ),
+    "constants": lambda x, y, z: (x + 3.5, y - 1.25, x + 3.5, y - 1.25),
+}
+
+
+@pytest.mark.parametrize("name", ["", "row"])
+@pytest.mark.parametrize("case", sorted(_EQUAL_IF_CASES))
+def test_equal_if_rows_match_equal_if(case, name):
+    def make(model):
+        switch = model.add_binary("s")
+        x, y, z = (model.add_continuous(v, ub=50) for v in "xyz")
+        return switch, _EQUAL_IF_CASES[case](x, y, z)
+
+    legacy = Model("legacy")
+    switch, (lhs, rhs, _, _) = make(legacy)
+    equal_if(legacy, switch, lhs, rhs, 40.0, name)
+
+    batched = Model("batched")
+    switch, (_, _, lhs_parts, rhs_parts) = make(batched)
+    batch = ConstraintBatch()
+    add_equal_if_rows(batch, switch, lhs_parts, rhs_parts, 40.0, name)
+    batched.add_linear_batch(batch)
+
+    first, second = legacy.to_standard_form(), batched.to_standard_form()
+    _assert_forms_equal(first, second)
+    # Byte-identical, not merely close.
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(first.a_ub, attr), getattr(second.a_ub, attr))
+    np.testing.assert_array_equal(first.b_ub, second.b_ub)
+
+    def rows(model):
+        return [
+            (c.name, [(v.name, k) for v, k in c.expr.coeffs.items()], c.expr.constant)
+            for c in model.constraints
+        ]
+
+    # Same names, term order, coefficients and constants row by row.
+    assert rows(legacy) == rows(batched)
+
+
+def test_equal_if_rows_require_a_binary_switch():
+    model = Model("switch")
+    x = model.add_continuous("x", ub=5)
+    with pytest.raises(ModelError):
+        add_equal_if_rows(ConstraintBatch(), x, x, x, 10.0)

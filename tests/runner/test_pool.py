@@ -135,6 +135,21 @@ class TestPoolExecution:
         assert outcomes[1].status == "completed"
         assert elapsed < 15.0
 
+    def test_deadline_wakes_the_pool(self):
+        """A timeout settles at its deadline, not at a later poll tick."""
+        started = time.perf_counter()
+        outcome = WorkerPool(workers=1, job_timeout=0.3).run([quick("slow", SleepyJob)])[0]
+        assert outcome.status == "timeout"
+        assert time.perf_counter() - started < 2.5
+
+    def test_crash_grace_wakes_the_pool(self):
+        """A silent child's crash settles once its grace ends."""
+        started = time.perf_counter()
+        outcome = WorkerPool(workers=1).run([quick("crash", CrashingJob)])[0]
+        assert outcome.status == "failed"
+        assert "exit code 17" in outcome.error
+        assert time.perf_counter() - started < 2.0
+
     def test_identical_jobs_run_once(self, tmp_path):
         events = []
         cache = ResultCache(tmp_path)

@@ -11,11 +11,13 @@ Two invariants from the observability layer:
 """
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
-from repro.runner import BatchRunner, LayoutJob
-from repro.service import LayoutService, ServiceClient
+from repro.runner import BatchRunner, LayoutJob, ResultCache
+from repro.runner.pool import JobOutcome
+from repro.service import JobQueue, LayoutScheduler, LayoutService, ServiceClient
 from tests.conftest import build_tiny_netlist
 
 
@@ -52,6 +54,36 @@ class TestForkBoundary:
         assert second.trace_id == "trace-two-000000"
         # The entry still carries the original run's cost breakdown.
         assert second.profile is not None
+
+
+class TestWorkerSpans:
+    def test_worker_children_fit_inside_the_worker_span(self, tmp_path):
+        """``worker_fork`` must not count the cache put a second time."""
+        scheduler = LayoutScheduler(
+            queue=JobQueue(tmp_path / "svc", fsync=False),
+            cache=ResultCache(tmp_path / "cache"),
+            pool_workers=0,
+        )
+        record = SimpleNamespace(key="rigged")
+        scheduler.traces.begin(record.key, "feedfacefeedface")
+        outcome = JobOutcome(
+            job=tiny_job("spans"),
+            status="completed",
+            runtime=0.25,
+            profile={
+                "phases": [{"phase": "phase1", "wall_s": 0.25}],
+                "cache_put_s": 0.125,
+            },
+        )
+        scheduler._record_worker_spans(record, outcome, 1000.0, 0.5)
+        spans = scheduler.traces.get(record.key).spans
+        worker = [span for span in spans if span.name == "worker"]
+        children = [span for span in spans if span.parent == "worker"]
+        assert [span.duration_s for span in worker] == [0.5]
+        assert {span.name for span in children} == {
+            "worker_fork", "solve.phase1", "cache_put"
+        }
+        assert sum(span.duration_s for span in children) <= 0.5 + 1e-9
 
 
 class TestDaemonRestart:

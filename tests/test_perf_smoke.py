@@ -58,8 +58,17 @@ def test_hot_builders_emit_batched_rows(tiny_netlist):
         for entry in model._entries
         if not isinstance(entry, Constraint)
     )
-    # The spacing/box/bend/no-reversal families must flow through batches.
-    assert batch_rows > 0.3 * model.num_constraints
+    # The spacing/segment/box/bend/no-reversal families must flow through
+    # batches; no segment row may take the per-term expression path.
+    assert batch_rows > 0.8 * model.num_constraints
+    legacy_segment_rows = [
+        entry.name
+        for entry in model._entries
+        if isinstance(entry, Constraint)
+        and entry.name.startswith("net[")
+        and ".seg[" in entry.name
+    ]
+    assert legacy_segment_rows == []
 
 
 def test_warm_start_covers_most_of_the_model(tiny_netlist):
@@ -279,6 +288,26 @@ def test_runner_cache_short_circuits_execution(tmp_path):
     finally:
         LayoutJob.run = original_run
     assert calls["count"] == 0
+
+
+def test_pool_settles_a_job_without_sleeping(monkeypatch):
+    """The pool waits on its workers' pipes and sentinels, never on a timer."""
+    import time
+    import types
+
+    from repro.runner import WorkerPool, pool
+    from tests.runner.test_pool import quick
+
+    def no_sleep(seconds):
+        raise AssertionError(f"pool slept {seconds} s")
+
+    # Only the pool's view of ``time`` changes; other threads keep sleeping.
+    pool_time = types.ModuleType("time")
+    pool_time.__dict__.update(vars(time))
+    pool_time.sleep = no_sleep
+    monkeypatch.setattr(pool, "time", pool_time)
+    outcome = WorkerPool(workers=1).run([quick("nosleep")])[0]
+    assert outcome.status == "completed"
 
 
 def test_job_hash_is_cached_per_instance(tiny_netlist):
