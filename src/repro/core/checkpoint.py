@@ -10,6 +10,15 @@ N+1 and settle on the **same** final layout a cold run would have produced
 (the sole exception is the wall-clock ``runtime_s`` metadata, which is
 inherently run-dependent — see ROADMAP "Durable solves & cache integrity").
 
+The flow runs in up to two rounds (see :mod:`repro.core.pilp`): round 1
+refines Phase 2's LP repair, and only when its final layout fails DRC does
+a fallback Phase-2 search start round 2 from the Phase-1 layout.  A
+checkpoint therefore also records the round, whether Phase 2 kept its
+repair, and — while that fallback may still run — the Phase-1 layout it
+starts from and the repaired Phase-2 layout it is compared against.
+Re-running Phase 1 to recover its layout would not be exact: a cold
+Phase 1 searches on the clock.
+
 This module owns the *state* and its JSON form.  Persistence — staging +
 atomic rename into the result cache's ``partial/`` area, digests, fault
 points — lives in :mod:`repro.runner.cache`; the flow only sees the small
@@ -27,7 +36,7 @@ from repro.layout.layout import Layout
 #: Version of the checkpoint document.  Bump when the state shape (or the
 #: resume semantics) change; older checkpoints are then discarded and the
 #: solve degrades to a cold start.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -74,6 +83,14 @@ class SolveCheckpoint:
     objective: Optional[float] = None
     #: Wall-clock seconds of solve budget the checkpoint represents.
     elapsed_s: float = 0.0
+    #: Flow round running: 1 refines Phase 2's repair, 2 the fallback search.
+    round: int = 1
+    #: Whether round 1's Phase 2 kept its LP repair.
+    phase2_repaired: bool = False
+    #: Phase-1 layout document, kept while the fallback search may still run.
+    phase1_layout_doc: Optional[Dict[str, object]] = None
+    #: Repaired Phase-2 layout document, kept alongside ``phase1_layout_doc``.
+    repair_layout_doc: Optional[Dict[str, object]] = None
 
     def to_doc(self) -> Dict[str, object]:
         return {
@@ -81,12 +98,14 @@ class SolveCheckpoint:
             "stage": self.stage,
             "completed": [item.to_doc() for item in self.completed],
             "layout": dict(self.layout_doc),
-            "best_layout": dict(self.best_layout_doc)
-            if self.best_layout_doc is not None
-            else None,
+            "best_layout": _optional_doc(self.best_layout_doc),
             "next_iteration": int(self.next_iteration),
             "objective": self.objective,
             "elapsed_s": float(self.elapsed_s),
+            "round": int(self.round),
+            "phase2_repaired": bool(self.phase2_repaired),
+            "phase1_layout": _optional_doc(self.phase1_layout_doc),
+            "repair_layout": _optional_doc(self.repair_layout_doc),
         }
 
     @classmethod
@@ -110,17 +129,31 @@ class SolveCheckpoint:
                 raise ValueError("checkpoint lists no completed phases")
             best = doc.get("best_layout")
             objective = doc.get("objective")
+            flow_round = int(doc["round"])
+            if flow_round not in (1, 2):
+                raise ValueError(f"checkpoint round {flow_round!r} is not 1 or 2")
+            fallback_layouts = (doc["phase1_layout"], doc["repair_layout"])
+            if flow_round == 1 and doc["phase2_repaired"] and None in fallback_layouts:
+                raise ValueError("round-1 checkpoint lacks the fallback's layouts")
             return cls(
                 stage=str(doc["stage"]),
                 completed=completed,
                 layout_doc=dict(doc["layout"]),
-                best_layout_doc=dict(best) if best is not None else None,
+                best_layout_doc=_optional_doc(best),
                 next_iteration=int(doc["next_iteration"]),
                 objective=float(objective) if objective is not None else None,
                 elapsed_s=float(doc["elapsed_s"]),
+                round=flow_round,
+                phase2_repaired=bool(doc["phase2_repaired"]),
+                phase1_layout_doc=_optional_doc(doc["phase1_layout"]),
+                repair_layout_doc=_optional_doc(doc["repair_layout"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint document: {exc}") from exc
+
+
+def _optional_doc(doc: Optional[Dict[str, object]]) -> Optional[Dict[str, object]]:
+    return dict(doc) if doc is not None else None
 
 
 class ReplayedPhase:

@@ -79,9 +79,12 @@ class PhaseSettings:
     Its ``time_limit``, ``mip_gap`` and ``progressive`` therefore apply only
     to the cold path (``warm_start=False``) and to the MIP fallback that runs
     when the pinned LP has no optimum.  A warm-started Phase 2 repairs its
-    warm start the same way and keeps it when the repaired layout passes DRC
-    (see :mod:`repro.core.phase2`); its ``time_limit``, ``mip_gap`` and
-    ``progressive`` apply only when the repair is not clean.
+    warm start the same way and Phase 3 starts from that repair (see
+    :mod:`repro.core.phase2`); its ``time_limit``, ``mip_gap`` and
+    ``progressive`` apply only to the cold path, to the MIP fallback of a
+    pinned LP with no optimum, and to the flow's fallback search, which runs
+    when the flow's final layout from the repair fails DRC (see
+    :mod:`repro.core.pilp`).
     """
 
     time_limit: Optional[float] = 120.0

@@ -73,7 +73,7 @@ def run_phase1(
     model_build_time = time.perf_counter() - build_started
     settings = config.phase1
     warm_values = warm_start_from_seeds(build, seeds) if settings.warm_start else None
-    solution = solve_phase_model(build, settings, warm_values, accept=lambda repaired: True)
+    solution = solve_phase_model(build, settings, warm_values, repair=True)
     runtime = time.perf_counter() - start
     if not solution.is_feasible:
         raise InfeasibleModelError(

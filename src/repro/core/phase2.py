@@ -12,19 +12,23 @@ and lets the builder prune non-overlap pairs whose windows can never meet.
 Length matching and overlap removal are still handled through the soft
 objective (26); Phase 3 iterates until both are exact.
 
-Deviation from the paper: with warm starts on (the default), Phase 2 first
-completes its warm start by LP — every integer column pinned to the
-legalised Phase-1 geometry, the rest solved once
-(:meth:`~repro.ilp.backends.base.SolverBackend.repair`) — and keeps that
-repaired layout without searching the ILP when it passes DRC.  Measured
-at the benchmark budgets, the search found nothing better there: on the
-service's tiny job and on reduced lna94 the repaired warm start was already
-DRC-clean, yet the search spent 0.47–0.52 s (tiny) and a 1.25 s stall
-window (lna94) before returning the same layout.  When the repair has a
-violation the paper's search runs as before: reduced buffer60 and lna60
-and the five-net test circuit keep it, because their repaired layouts
-contain a crossing that Phase 3 cannot remove.  It also runs whenever the
-pinned LP has no optimum, and always with ``PhaseSettings(warm_start=False)``.
+Deviation from the paper: with warm starts on (the default), Phase 2 does
+not search the ILP.  It completes its warm start by LP — every integer
+column pinned to the legalised Phase-1 geometry, the rest solved once
+(:meth:`~repro.ilp.backends.base.SolverBackend.repair`) — and hands that
+repaired layout to Phase 3, as Phase 1 keeps its repaired seed.  The
+paper's warm-started search is the flow's fallback:
+:class:`~repro.core.pilp.PILPLayoutGenerator` runs it (``search=True``) only
+when the layout Phase 3 refined from the repair fails DRC.  Measured at the
+benchmark budgets, the search found nothing Phase 3 needed on the service's
+tiny job and on reduced lna94, buffer60 and lna60: the repairs of the
+first two were already DRC-clean, and on the last two the search returned
+a layout identical to the repair after a 1.25 s stall window, because
+their crossing is one Phase 3 removes and the Phase-2 model cannot.  On
+the five-net test circuit the search is what makes the flow DRC-clean
+(overlap 295 → 0), and there the fallback runs.  The search also runs
+when the pinned LP has no optimum, and always with
+``PhaseSettings(warm_start=False)``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from repro.core.windows import (
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.ilp.solution import Solution
-from repro.layout.drc import run_drc
 from repro.layout.layout import Layout
 
 
@@ -56,8 +59,14 @@ def run_phase2(
     netlist: Netlist,
     phase1_layout: Layout,
     config: Optional[PILPConfig] = None,
+    *,
+    search: bool = False,
 ) -> PhaseResult:
     """Run Phase 2 starting from a Phase-1 layout snapshot.
+
+    A warm-started Phase 2 returns the LP repair of its warm start
+    (``solution.repaired``); ``search=True`` runs the warm-started MIP
+    search instead, the flow's fallback.
 
     Phase 1 places device points optimistically; occasionally the real
     device outlines cannot all be legalised within τ_d of those points.  The
@@ -72,11 +81,11 @@ def run_phase2(
     """
     config = config or PILPConfig()
     start = time.perf_counter()
-    build, solution, layout, build_time = _solve(netlist, phase1_layout, config)
+    build, solution, layout, build_time = _solve(netlist, phase1_layout, config, search)
     if layout is None:
         failed_solve_time, failed_build_time = solution.solve_time, build_time
         widened = config.with_updates(confinement_window=2.0 * config.confinement_window)
-        build, solution, layout, build_time = _solve(netlist, phase1_layout, widened)
+        build, solution, layout, build_time = _solve(netlist, phase1_layout, widened, search)
         solution = solution.after_attempts(failed_solve_time)
         build_time += failed_build_time
     runtime = time.perf_counter() - start
@@ -99,7 +108,7 @@ def run_phase2(
 
 
 def _solve(
-    netlist: Netlist, phase1_layout: Layout, config: PILPConfig
+    netlist: Netlist, phase1_layout: Layout, config: PILPConfig, search: bool
 ) -> Tuple[BuildResult, Solution, Optional[Layout], float]:
     """Build and solve Phase 2 within ``config.confinement_window``.
 
@@ -136,31 +145,19 @@ def _solve(
             {name: list(points) for name, points in positions.items()},
         )
 
-    def extract(solution: Solution) -> Layout:
-        return build.extract_layout(
-            solution,
-            metadata={
-                "flow": "p-ilp",
-                "phase": "phase2",
-                "solver_status": solution.status.value,
-                "confinement_window_um": tau,
-            },
-        )
-
-    kept: Optional[Layout] = None
-
-    def drc_clean(repaired: Solution) -> bool:
-        nonlocal kept
-        layout = extract(repaired)
-        if not run_drc(layout).is_clean:
-            return False
-        kept = layout
-        return True
-
-    solution = solve_phase_model(build, settings, warm_values, accept=drc_clean)
+    solution = solve_phase_model(build, settings, warm_values, repair=not search)
     if not solution.is_feasible:
         return build, solution, None, build_time
-    return build, solution, kept if kept is not None else extract(solution), build_time
+    layout = build.extract_layout(
+        solution,
+        metadata={
+            "flow": "p-ilp",
+            "phase": "phase2",
+            "solver_status": solution.status.value,
+            "confinement_window_um": tau,
+        },
+    )
+    return build, solution, layout, build_time
 
 
 def _phase2_windows(

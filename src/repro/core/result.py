@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
 
 from repro.ilp.solution import Solution
 from repro.layout.drc import DRCReport
@@ -62,6 +62,26 @@ class PhaseResult:
     @property
     def max_bends(self) -> int:
         return max(self.bend_counts.values()) if self.bend_counts else 0
+
+    def after_attempts(self, discarded: Sequence) -> "PhaseResult":
+        """This phase with the cost of ``discarded`` phase runs folded in.
+
+        ``discarded`` holds phase results (live or replayed) whose outcome
+        the flow threw away; their wall, model-build and solver seconds are
+        added to this phase's, so the flow's profile still covers every
+        solve it ran (the rule :meth:`Solution.after_attempts` applies
+        within a phase).
+        """
+        entries = [item.profile_entry() for item in discarded]
+        return replace(
+            self,
+            runtime=self.runtime + sum(entry["wall_s"] for entry in entries),
+            model_build_time=self.model_build_time
+            + sum(entry["model_build_s"] for entry in entries),
+            solution=self.solution.after_attempts(
+                sum(entry["solver_s"] for entry in entries)
+            ),
+        )
 
     def summary(self) -> Dict[str, object]:
         """Compact dictionary for logs and reports."""

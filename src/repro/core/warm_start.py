@@ -29,7 +29,7 @@ identical to the uninterrupted run's.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.circuit.device import Rotation
 from repro.core.model_builder import BuildResult, NetVars, SegmentVars
@@ -357,7 +357,7 @@ def solve_phase_model(
     build: BuildResult,
     settings,
     warm_values=None,
-    accept: Optional[Callable[[Solution], bool]] = None,
+    repair: bool = False,
 ) -> Solution:
     """Solve a phase model honouring the phase's warm-start knobs.
 
@@ -366,32 +366,27 @@ def solve_phase_model(
     (stall-terminated) solve is requested from the HiGHS backend when
     configured.
 
-    ``accept`` makes the phase repair first: with a warm start enabled and
-    given, its LP repair (:meth:`~repro.ilp.backends.base.SolverBackend.repair`)
-    is returned as is when ``accept`` holds for it, and the MIP search runs
-    only when the pinned LP has no optimum or ``accept`` rejects the repair.
-    A rejected repair's solver time is added to the search's ``solve_time``.
+    ``repair`` makes the phase repair instead of search: with a warm start
+    enabled and given, its LP repair
+    (:meth:`~repro.ilp.backends.base.SolverBackend.repair`) is returned as
+    is, and the MIP search runs only when the pinned LP has no optimum.
     """
     warm = bool(getattr(settings, "warm_start", False) and warm_values)
-    rejected_s = 0.0
-    if accept is not None and warm:
+    if repair and warm:
         repaired = get_backend(settings.backend).repair(build.model, warm_values)
         if repaired is not None:
-            if accept(repaired):
-                return repaired
-            rejected_s = repaired.solve_time
+            return repaired
     kwargs = {}
     if warm:
         kwargs["warm_start"] = warm_values
     if getattr(settings, "progressive", False) and settings.backend == "highs":
         kwargs["progressive"] = True
-    solution = build.model.solve(
+    return build.model.solve(
         backend=settings.backend,
         time_limit=settings.time_limit,
         mip_gap=settings.mip_gap,
         **kwargs,
     )
-    return solution.after_attempts(rejected_s)
 
 
 def _evaluable(expr: LinExpr, values: Mapping[Variable, float]) -> bool:

@@ -79,6 +79,7 @@ class SolverBackend(abc.ABC):
             backend=self.name,
             message="warm start repaired by LP (integer columns pinned)",
             iterations=0,
+            repaired=True,
         )
 
     # ------------------------------------------------------------------ #

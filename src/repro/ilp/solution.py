@@ -66,6 +66,10 @@ class Solution:
         Solver effort count when the backend reports one — branch-and-bound
         nodes explored by either backend, ``None`` when there is no such
         counter (e.g. HiGHS on a pure LP).
+    repaired:
+        True when the assignment is a warm start completed by LP
+        (:meth:`~repro.ilp.backends.base.SolverBackend.repair`) rather than
+        the outcome of a search.
     """
 
     status: SolveStatus
@@ -76,6 +80,7 @@ class Solution:
     gap: float | None = None
     message: str = ""
     iterations: int | None = None
+    repaired: bool = False
 
     @property
     def is_feasible(self) -> bool:

@@ -19,7 +19,10 @@ from repro.core.checkpoint import (
     CompletedPhase,
     SolveCheckpoint,
 )
+from repro.core import pilp
+from repro.core.config import PILPConfig
 from repro.core.pilp import PILPLayoutGenerator
+from repro.layout.drc import DRCReport, DRCViolation, ViolationKind
 from repro.layout.export_json import layout_to_dict
 from tests.conftest import build_tiny_netlist
 
@@ -97,6 +100,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SolveCheckpoint.from_doc({"schema": CHECKPOINT_SCHEMA_VERSION})
 
+    def test_pending_fallback_without_its_layouts_rejected(self, cold):
+        _, sink, _ = cold
+        doc = sink.saved[1].to_doc()
+        assert doc["round"] == 1 and doc["phase2_repaired"]
+        doc["phase1_layout"] = None
+        with pytest.raises(ValueError):
+            SolveCheckpoint.from_doc(doc)
+
 
 class TestResumeDeterminism:
     def test_cold_run_checkpoints_every_phase(self, cold):
@@ -159,3 +170,44 @@ class TestResumeDeterminism:
         assert len(resumed_sink.saved) == len(resumed.phases) - len(
             state.completed
         )
+
+
+def dirty_final_drc(patch):
+    """Make the flow's final DRC fail, so round 1 falls back to the search."""
+    violation = DRCViolation(ViolationKind.CROSSING, "ms_in", "ms_out")
+    patch.setattr(pilp, "run_drc", lambda layout: DRCReport([violation]))
+
+
+@pytest.fixture(scope="module")
+def fallback():
+    """One uninterrupted solve that runs the fallback search and round 2."""
+    netlist = build_tiny_netlist()
+    sink = RecordingSink()
+    with pytest.MonkeyPatch.context() as patch:
+        dirty_final_drc(patch)
+        result = PILPLayoutGenerator(PILPConfig.fast()).generate(netlist, checkpoint=sink)
+    return netlist, sink, result
+
+
+class TestFallbackResume:
+    def test_checkpoints_keep_the_fallback_inputs_until_the_search(self, fallback):
+        _, sink, _ = fallback
+        rounds = [(c.round, c.stage) for c in sink.saved]
+        assert rounds[:2] == [(1, "phase1"), (1, "phase2")]
+        assert rounds.index((2, "phase2")) > 2
+        for state in sink.saved:
+            pending = state.round == 1
+            assert (state.phase1_layout_doc is not None) == pending
+            assert (state.repair_layout_doc is not None) == (pending and state.stage != "phase1")
+            assert state.phase2_repaired == (state.stage != "phase1" or state.round == 2)
+
+    def test_resume_from_every_checkpoint_is_bit_identical(self, fallback, monkeypatch):
+        netlist, sink, result = fallback
+        dirty_final_drc(monkeypatch)
+        for state in sink.saved:
+            resumed = PILPLayoutGenerator(PILPConfig.fast()).generate(
+                netlist, checkpoint=RecordingSink(resume_from=state)
+            )
+            where = f"round {state.round} {state.stage}"
+            assert normalized(resumed.layout) == normalized(result.layout), where
+            assert [p.phase for p in resumed.phases] == [p.phase for p in result.phases], where

@@ -1,14 +1,19 @@
 """Hash ⇒ output: the same job settles to the same layout, run after run.
 
 Every phase of these jobs is an LP repair or a solve HiGHS proves optimal,
-so no wall-clock limit decides the result.
+so no wall-clock limit decides the result.  Reduced buffer60 and lna60
+still refine on the clock in Phase 3, but their Phase 2 is an LP repair.
 """
+
+import pytest
 
 from dataclasses import replace
 
 from repro.circuits import get_circuit
 from repro.core import PILPLayoutGenerator
 from repro.core.config import PILPConfig
+from repro.core.phase1 import run_phase1
+from repro.core.phase2 import run_phase2
 from repro.layout.export_json import layout_to_dict
 from repro.loadgen.workload import tiny_workload_netlist
 from repro.runner import LayoutJob, WorkerPool
@@ -20,20 +25,37 @@ def _without_runtime(doc):
     return doc
 
 
-def test_reduced_lna94_settles_to_one_layout():
+def _benchmark_config():
     config = PILPConfig.fast()
-    config = config.with_updates(
+    return config.with_updates(
         **{
             name: replace(getattr(config, name), time_limit=5.0, mip_gap=0.1)
             for name in ("phase1", "phase2", "phase3", "exact")
         }
     )
+
+
+def test_reduced_lna94_settles_to_one_layout():
+    config = _benchmark_config()
     netlist = get_circuit("lna94", "reduced").netlist
     first, second = (PILPLayoutGenerator(config).generate(netlist) for _ in range(2))
     assert first.is_clean
     assert _without_runtime(layout_to_dict(first.layout)) == _without_runtime(
         layout_to_dict(second.layout)
     )
+
+
+@pytest.mark.parametrize("circuit", ["buffer60", "lna60"])
+def test_reduced_phase2_is_its_lp_repair_run_after_run(circuit):
+    """Their repaired Phase-2 layouts have a crossing; Phase 2 keeps them anyway."""
+    config = _benchmark_config()
+    netlist = get_circuit(circuit, "reduced").netlist
+    runs = [
+        run_phase2(netlist, run_phase1(netlist, config).layout, config) for _ in range(2)
+    ]
+    assert all(run.solution.repaired for run in runs)
+    first, second = (_without_runtime(layout_to_dict(run.layout)) for run in runs)
+    assert first == second
 
 
 def test_tiny_job_settles_to_one_layout_inline_and_forked():

@@ -3,6 +3,8 @@
 Phase 2 retries in a doubled confinement window and a Phase-3 iteration
 falls back from the hard-length model to the soft one; the failed first
 attempt is rigged here to take ``FAILED_S`` and return ``INFEASIBLE``.
+When the flow falls back to Phase 2's search, the discarded round is
+folded into the ``phase2`` entry.
 """
 
 import time
@@ -10,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import PILPLayoutGenerator, phase2, phase3
+from repro.core import PILPLayoutGenerator, phase2, phase3, pilp
 from repro.core.config import PILPConfig
 from repro.core.phase1 import run_phase1
 from repro.ilp.solution import Solution, SolveStatus
@@ -67,3 +69,32 @@ def test_phase3_time_covers_the_failed_hard_length_attempt(tiny_netlist, monkeyp
     result = phase3.run_phase3_iteration(tiny_netlist, layout, config, 1, plan)
     assert result.layout.metadata["exact_lengths"] is False
     _covers_both_attempts(result.profile_entry(), retries[0])
+
+
+def test_flow_time_covers_the_discarded_round_and_the_search(tiny_netlist, monkeypatch):
+    from repro.layout.drc import DRCReport, DRCViolation, ViolationKind
+
+    violation = DRCViolation(ViolationKind.CROSSING, "ms_in", "ms_out")
+    monkeypatch.setattr(pilp, "run_drc", lambda layout: DRCReport([violation]))
+    phase2_runs, phase3_rounds = [], []
+    monkeypatch.setattr(pilp, "run_phase2", _recording(pilp.run_phase2, phase2_runs))
+    monkeypatch.setattr(pilp, "run_phase3", _recording(pilp.run_phase3, phase3_rounds))
+    result = PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+
+    repair, search = phase2_runs
+    assert repair.solution.repaired and not search.solution.repaired
+    (discarded, _), (kept, _) = phase3_rounds
+    names = ["phase1", "phase2"] + [f"phase3[{i}]" for i in range(len(kept))]
+    assert [phase.phase for phase in result.phases] == names
+    assert result.layout.metadata["phases"] == names
+    assert result.phases[2:] == kept
+
+    profile = result.profile()
+    folded = [repair, *discarded, search]
+    entry = profile["phases"][1]
+    assert entry["solver_s"] == pytest.approx(
+        sum(run.solution.solve_time for run in folded), abs=1e-5
+    )
+    assert entry["wall_s"] == pytest.approx(sum(run.runtime for run in folded), abs=1e-5)
+    covered = sum(phase["wall_s"] for phase in profile["phases"])
+    assert profile["total_s"] >= covered + profile["drc_s"] + profile["metrics_s"]

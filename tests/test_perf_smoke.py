@@ -182,7 +182,7 @@ def test_phase1_repairs_its_seed_without_a_mip_search(
 
 
 def test_seeded_phase2_keeps_its_drc_clean_repair(tiny_netlist, monkeypatch):
-    """A seeded Phase 2 whose LP repair passes DRC runs no MIP search."""
+    """A seeded Phase 2 is one pinned LP; it runs no MIP search."""
     from repro.core.phase1 import run_phase1
     from repro.core.phase2 import run_phase2
     from repro.ilp.solution import SolveStatus
@@ -193,33 +193,115 @@ def test_seeded_phase2_keeps_its_drc_clean_repair(tiny_netlist, monkeypatch):
     solves = _count_highs_solves(monkeypatch)
     result = run_phase2(tiny_netlist, phase1.layout, config)
     assert len(solves) == 0
-    assert result.solution.status is SolveStatus.FEASIBLE
+    assert result.solution.status is SolveStatus.FEASIBLE and result.solution.repaired
     assert run_drc(result.layout).is_clean
 
 
-def test_phase2_searches_after_a_dirty_repair_or_without_a_warm_start(
-    tiny_netlist, monkeypatch
-):
-    """The repair gate rejects a repair with a violation; a cold Phase 2 never repairs."""
-    from dataclasses import replace
+def _phase2_searches(monkeypatch, answer=None):
+    """Record the keyword arguments of every HiGHS solve of a Phase-2 model.
 
-    from repro.core import phase2
-    from repro.core.phase1 import run_phase1
+    ``answer(backend, model, warm_start)`` replaces those solves when given.
+    """
+    from repro.ilp.backends.highs import HighsBackend
+
+    searches = []
+    original = HighsBackend.solve
+
+    def counting(self, model, *args, **kwargs):
+        if not model.name.startswith("phase2["):
+            return original(self, model, *args, **kwargs)
+        searches.append(kwargs)
+        if answer is not None:
+            return answer(self, model, kwargs.get("warm_start"))
+        return original(self, model, *args, **kwargs)
+
+    monkeypatch.setattr(HighsBackend, "solve", counting)
+    return searches
+
+
+def _phase3_rounds(monkeypatch):
+    """Record the Phase-2 layout every Phase-3 round of the flow starts from."""
+    from repro.core import pilp
+
+    rounds = []
+    original = pilp.run_phase3
+
+    def counting(netlist, phase2_layout, *args, **kwargs):
+        rounds.append(phase2_layout)
+        return original(netlist, phase2_layout, *args, **kwargs)
+
+    monkeypatch.setattr(pilp, "run_phase3", counting)
+    return rounds
+
+
+def _crossing(layout=None):
     from repro.layout.drc import DRCReport, DRCViolation, ViolationKind
 
-    config = PILPConfig.fast()
-    phase1 = run_phase1(tiny_netlist, config)
-    solves = _count_highs_solves(monkeypatch)
-    with monkeypatch.context() as patch:
-        violation = DRCViolation(ViolationKind.CROSSING, "ms_in", "ms_out")
-        patch.setattr(phase2, "run_drc", lambda layout: DRCReport([violation]))
-        assert phase2.run_phase2(tiny_netlist, phase1.layout, config).solution.is_feasible
-    assert len(solves) == 1 and solves[0]["warm_start"]
+    return DRCReport([DRCViolation(ViolationKind.CROSSING, "ms_in", "ms_out")])
 
+
+def test_a_dirty_repair_whose_flow_ends_clean_runs_no_phase2_search(
+    tiny_netlist, monkeypatch
+):
+    """Every DRC of the Phase-2 layout reports a crossing; Phase 3 still ends clean."""
+    from repro.core import PILPLayoutGenerator
+    from repro.layout.drc import DesignRuleChecker
+
+    check = DesignRuleChecker.check
+
+    def dirty_phase2(self, layout, *args, **kwargs):
+        report = check(self, layout, *args, **kwargs)
+        if layout.metadata.get("phase") == "phase2":
+            report.violations.extend(_crossing().violations)
+        return report
+
+    monkeypatch.setattr(DesignRuleChecker, "check", dirty_phase2)
+    searches = _phase2_searches(monkeypatch)
+    result = PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    assert result.is_clean
+    assert searches == []
+
+
+def test_a_dirty_final_drc_runs_one_warm_started_phase2_search(tiny_netlist, monkeypatch):
+    """The fallback searches once from Phase 1; its new geometry gets a second round."""
+    from repro.core import PILPLayoutGenerator, pilp
+
+    monkeypatch.setattr(pilp, "run_drc", _crossing)
+    searches = _phase2_searches(monkeypatch)
+    rounds = _phase3_rounds(monkeypatch)
+    result = PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    assert len(searches) == 1 and searches[0]["warm_start"]
+    assert len(rounds) == 2 and rounds[1] is not rounds[0]
+    assert [phase.phase for phase in result.phases[:2]] == ["phase1", "phase2"]
+    assert not result.phases[1].solution.repaired
+
+
+def test_a_search_that_returns_the_repair_runs_no_second_phase3_round(
+    tiny_netlist, monkeypatch
+):
+    from repro.core import PILPLayoutGenerator, pilp
+
+    monkeypatch.setattr(pilp, "run_drc", _crossing)
+    searches = _phase2_searches(
+        monkeypatch, answer=lambda backend, model, warm: backend.repair(model, warm)
+    )
+    rounds = _phase3_rounds(monkeypatch)
+    PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    assert len(searches) == 1
+    assert len(rounds) == 1
+
+
+def test_a_cold_phase2_runs_one_search_and_no_fallback(tiny_netlist, monkeypatch):
+    from dataclasses import replace
+
+    from repro.core import PILPLayoutGenerator, pilp
+
+    monkeypatch.setattr(pilp, "run_drc", _crossing)
+    searches = _phase2_searches(monkeypatch)
+    config = PILPConfig.fast()
     cold = config.with_updates(phase2=replace(config.phase2, warm_start=False))
-    solves.clear()
-    assert phase2.run_phase2(tiny_netlist, phase1.layout, cold).solution.is_feasible
-    assert len(solves) == 1 and solves[0]["warm_start"] is None
+    PILPLayoutGenerator(cold).generate(tiny_netlist)
+    assert len(searches) == 1 and searches[0]["warm_start"] is None
 
 
 def test_solve_processes_run_blas_on_the_calling_thread():
