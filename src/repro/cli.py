@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     batch.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout in seconds"
+        "--timeout", type=float, default=None,
+        help="per-job timeout in seconds (needs --workers >= 1)",
     )
     batch.add_argument(
         "--portfolio", action="store_true",
@@ -281,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         "processes (faster for tiny jobs; no crash isolation or timeouts)",
     )
     serve.add_argument(
-        "--job-timeout", type=float, default=None, help="per-job timeout in seconds"
+        "--job-timeout", type=float, default=None,
+        help="per-job timeout in seconds (needs worker processes: not with --inline)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=0, metavar="N",
@@ -653,6 +655,11 @@ def _command_batch(args: argparse.Namespace) -> int:
         run_portfolio,
     )
 
+    if args.workers == 0 and args.timeout is not None:
+        raise SystemExit(
+            "error: --timeout needs worker processes; an inline batch "
+            "(--workers 0) cannot enforce it"
+        )
     config = _config_from_args(args)
     frequencies = _parse_grid(args.sweep_frequencies, float)
     stages = _parse_grid(args.sweep_stages, int)
@@ -819,6 +826,12 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     from repro.obs.logging import LOG
     from repro.service import LayoutService
+
+    if args.inline and args.job_timeout is not None:
+        raise SystemExit(
+            "error: --job-timeout needs worker processes; an --inline daemon "
+            "cannot enforce it"
+        )
 
     log_json = args.log_json or args.log_file is not None
     if log_json:

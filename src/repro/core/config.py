@@ -57,8 +57,14 @@ class PhaseSettings:
 
     Attributes
     ----------
-    time_limit, mip_gap, backend:
-        As before: wall-clock budget, relative gap and backend name.
+    time_limit:
+        Wall-clock budget of one solve in seconds (``None`` = unlimited).
+    mip_gap:
+        Relative MIP gap at which the solver may stop (``None`` = the
+        backend's default).
+    backend:
+        Solver backend name, resolved by
+        :func:`repro.ilp.backends.get_backend` (``"highs"`` or ``"bnb"``).
     warm_start:
         Seed the solve with an incumbent constructed from the previous
         phase's geometry (or the seed placement for Phase 1).  Warm starts

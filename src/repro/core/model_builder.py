@@ -102,8 +102,6 @@ class BuildOptions:
         aggressive reservation for blurred devices, Figure 8).
     same_net_spacing:
         Enforce spacing between non-adjacent segments of the same net.
-    spacing_exempt_pairs:
-        Extra pairs of block labels allowed to overlap.
     forced_spacing_pairs:
         Pairs of *net names* whose mutual spacing exemption is revoked.
         Used by Phase-3 refinement to untangle nets whose centre lines were
@@ -124,7 +122,6 @@ class BuildOptions:
     length_targets: Mapping[str, float] = field(default_factory=dict)
     extra_segment_margin: float = 0.0
     same_net_spacing: bool = False
-    spacing_exempt_pairs: Set[frozenset] = field(default_factory=set)
     forced_spacing_pairs: Set[frozenset] = field(default_factory=set)
 
 
@@ -895,8 +892,6 @@ class RficModelBuilder:
 
     def _spacing_exempt(self, first: _Block, second: _Block) -> bool:
         """Pairs that are electrically joined and therefore allowed to touch."""
-        if frozenset((first.label, second.label)) in self.options.spacing_exempt_pairs:
-            return True
         if first.kind == "segment" and second.kind == "segment":
             if self._pair_forced(first, second):
                 return False

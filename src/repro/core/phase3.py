@@ -257,7 +257,8 @@ def run_phase3(
     """Iterate refinement until the layout is clean or the budget is spent.
 
     Returns the per-iteration results and the best layout seen (fewest DRC
-    violations, ties broken by total bend count).
+    violations, ties broken by smaller max length error, then by fewer
+    total bends; see :func:`_quality_key`).
 
     The keyword-only parameters support checkpoint resume: a resumed run
     passes the checkpointed geometry as ``phase2_layout``, the stored
@@ -396,6 +397,5 @@ def _max_length_error(netlist: Netlist, layout: Layout) -> float:
 def _quality_key(netlist: Netlist, layout: Layout) -> Tuple[int, float, int]:
     """Ordering key: fewer DRC violations, smaller length error, fewer bends."""
     report = run_drc(layout)
-    delta = netlist.technology.bend_compensation
     total_bends = sum(route.bend_count for route in layout.routes)
     return (report.count(), round(_max_length_error(netlist, layout), 3), total_bends)

@@ -19,7 +19,11 @@ Identical jobs (equal content hashes) inside one batch are executed once
 and their outcome is shared.  ``workers=0`` runs everything inline in the
 current process — no isolation, but no fork overhead either, which is the
 right trade for fully cached batches and for the experiment harnesses'
-small configurations.
+small configurations.  Both modes share one scheduling loop and one way
+to run a job: :func:`_execute` runs it (inline, or inside the forked
+child) and :func:`_reported` turns its report into an outcome,
+so the two modes differ only in isolation, timeouts and the ``started``
+event a forked job emits.
 
 :class:`BatchRunner` is the convenience facade bundling a cache directory
 with pool settings; it is what the CLI and the experiment harnesses use.
@@ -37,9 +41,11 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.result import FlowResult
 from repro.faults import FAULTS
@@ -148,16 +154,17 @@ class JobOutcome:
         return row
 
 
-def _child_main(job: LayoutJob, cache_root: Optional[str], conn) -> None:
-    """Entry point of a worker process: run one job, report via its pipe.
+def _execute(job: LayoutJob, cache: Optional[ResultCache]) -> Tuple[bool, object]:
+    """Run one job and build its report: ``(True, payload)`` or ``(False, error)``.
 
-    Each job gets its own pipe so that terminating one child (timeout,
-    cancellation) can at worst corrupt that child's channel — never the
-    reports of the other workers in the batch.
+    Both pool modes run jobs through here — inline in the caller's process,
+    forked inside :func:`_child_main` — and :func:`_reported` turns the
+    report into an outcome.  The payload carries the stored cache entry, so
+    the parent never reads the entry back.  Only ``Exception`` is caught,
+    so an inline pool never swallows ``KeyboardInterrupt``.
     """
     try:
         FAULTS.act("worker.run")
-        cache = ResultCache(cache_root) if cache_root is not None else None
         checkpointer = (
             SolveCheckpointer(cache, job.content_hash)
             if cache is not None and job.flow == "pilp"
@@ -171,12 +178,6 @@ def _child_main(job: LayoutJob, cache_root: Optional[str], conn) -> None:
             else job.run()
         )
         profile = result.profile()
-        payload: Dict[str, object] = {
-            "summary": result.summary(),
-            "phases": result.phase_table(),
-            "runtime": result.runtime,
-            "trace": getattr(job, "trace_id", ""),
-        }
         entry = None
         if cache is not None:
             put_started = CLOCK.perf()
@@ -186,12 +187,62 @@ def _child_main(job: LayoutJob, cache_root: Optional[str], conn) -> None:
                 # The full entry supersedes the partial one; a leftover
                 # checkpoint would only shadow the cache hit's fast path.
                 checkpointer.clear()
-        payload["profile"] = profile
+        payload: Dict[str, object] = {
+            "summary": result.summary(),
+            "phases": result.phase_table(),
+            "runtime": result.runtime,
+            "profile": profile,
+            "entry": entry,
+        }
         if entry is None:
             # No cache, or the store failed (full disk): the layout must
-            # travel over the pipe or the solve would be lost with it.
+            # travel with the report or the solve would be lost with it.
             payload["layout"] = layout_to_dict(result.layout)
-        conn.send((True, payload))
+        return True, payload
+    except Exception as exc:  # noqa: BLE001 - job boundary
+        return False, f"{type(exc).__name__}: {exc}"
+
+
+def _reported(
+    job: LayoutJob, report: Tuple[bool, object], elapsed: float
+) -> JobOutcome:
+    """Turn an :func:`_execute` report into a ``completed`` or ``failed`` outcome."""
+    ok, payload = report
+    trace_id = getattr(job, "trace_id", "")
+    if ok:
+        return JobOutcome(
+            job=job,
+            status="completed",
+            summary=dict(payload["summary"]),
+            runtime=float(payload["runtime"]),
+            entry=payload["entry"],
+            layout_doc=payload.get("layout"),
+            phases=list(payload["phases"]),
+            profile=payload["profile"],
+            trace_id=trace_id,
+        )
+    LOG.log(
+        "worker.failed",
+        level="error",
+        trace=trace_id,
+        key=job.content_hash,
+        error=str(payload),
+    )
+    return JobOutcome(
+        job=job, status="failed", runtime=elapsed, error=str(payload), trace_id=trace_id
+    )
+
+
+def _child_main(job: LayoutJob, cache_root: Optional[str], conn) -> None:
+    """Entry point of a worker process: run one job, report via its pipe.
+
+    Each job gets its own pipe so that terminating one child (timeout,
+    cancellation) can at worst corrupt that child's channel — never the
+    reports of the other workers in the batch.
+    """
+    try:
+        cache = ResultCache(cache_root) if cache_root is not None else None
+        conn.send(_execute(job, cache))
     except BaseException as exc:  # noqa: BLE001 - isolation boundary
         conn.send((False, f"{type(exc).__name__}: {exc}"))
     finally:
@@ -267,32 +318,22 @@ class WorkerPool:
                 primary_index[key] = index
                 unique.append(index)
 
-        if self.workers == 0:
-            self._run_inline(jobs, unique, outcomes, stop_when, progress)
-        else:
-            self._run_processes(jobs, unique, outcomes, stop_when, progress)
+        self._schedule(jobs, unique, outcomes, stop_when, progress)
 
         for index, primary in duplicates.items():
             source = outcomes[primary]
-            outcomes[index] = JobOutcome(
+            outcomes[index] = replace(
+                source,
                 job=jobs[index],
-                status=source.status,
-                summary=source.summary,
-                runtime=source.runtime,
-                error=source.error,
-                entry=source.entry,
-                layout_doc=source.layout_doc,
-                phases=source.phases,
-                profile=source.profile,
                 trace_id=getattr(jobs[index], "trace_id", "") or source.trace_id,
             )
         return [outcomes[index] for index in range(len(jobs))]
 
     # ------------------------------------------------------------------ #
-    # inline execution
+    # scheduling loop
     # ------------------------------------------------------------------ #
 
-    def _run_inline(
+    def _schedule(
         self,
         jobs: List[LayoutJob],
         unique: List[int],
@@ -300,92 +341,37 @@ class WorkerPool:
         stop_when: Optional[StopPredicate],
         progress: Optional[ProgressCallback] = None,
     ) -> None:
-        stopped = False
-        for index in unique:
-            job = jobs[index]
-            if stopped:
-                outcomes[index] = self._settle(
-                    JobOutcome(job=job, status="cancelled", error="portfolio settled"),
-                    progress,
-                )
-                continue
-            outcome = self._cache_lookup(job)
-            if outcome is None:
-                started = time.perf_counter()
-                checkpointer = (
-                    SolveCheckpointer(self.cache, job.content_hash)
-                    if self.cache is not None and job.flow == "pilp"
-                    else None
-                )
-                self._emit_resumed(job, progress)
-                try:
-                    FAULTS.act("worker.run")
-                    result = (
-                        job.run(checkpoint=checkpointer)
-                        if checkpointer is not None
-                        else job.run()
-                    )
-                except Exception as exc:  # noqa: BLE001 - job boundary
-                    outcome = JobOutcome(
-                        job=job,
-                        status="failed",
-                        runtime=time.perf_counter() - started,
-                        error=f"{type(exc).__name__}: {exc}",
-                        trace_id=getattr(job, "trace_id", ""),
-                    )
-                else:
-                    profile = result.profile()
-                    entry = None
-                    if self.cache is not None:
-                        put_started = CLOCK.perf()
-                        entry = self.cache.put(job, result)
-                        profile["cache_put_s"] = round(
-                            CLOCK.perf() - put_started, 6
-                        )
-                        if entry is not None and checkpointer is not None:
-                            checkpointer.clear()
-                    outcome = JobOutcome(
-                        job=job,
-                        status="completed",
-                        summary=result.summary(),
-                        runtime=result.runtime,
-                        entry=entry,
-                        layout_doc=None if entry else layout_to_dict(result.layout),
-                        phases=result.phase_table(),
-                        profile=profile,
-                        trace_id=getattr(job, "trace_id", ""),
-                    )
-            outcomes[index] = self._settle(outcome, progress)
-            if stop_when and stop_when(outcome):
-                stopped = True
+        """Settle every unique job: cache hit, inline run, or forked worker.
 
-    # ------------------------------------------------------------------ #
-    # process-pool execution
-    # ------------------------------------------------------------------ #
-
-    def _run_processes(
-        self,
-        jobs: List[LayoutJob],
-        unique: List[int],
-        outcomes: Dict[int, JobOutcome],
-        stop_when: Optional[StopPredicate],
-        progress: Optional[ProgressCallback] = None,
-    ) -> None:
+        With ``workers == 0``, ``launch`` runs each job synchronously
+        through :func:`_execute`, so nothing is ever left running; otherwise
+        it forks up to ``workers`` children and the loop waits on them.
+        Whatever is still pending or running when the batch stops (or
+        unwinds) is cancelled in the one ``finally``.
+        """
         context = multiprocessing.get_context()
         cache_root = str(self.cache.root) if self.cache is not None else None
         pending = list(unique)
         running: Dict[int, _Running] = {}
-        stopped = False
+
+        def settle(index: int, outcome: JobOutcome) -> None:
+            outcomes[index] = self._settle(outcome, progress)
+            if stop_when and stop_when(outcome):
+                raise _StopBatch()
 
         def launch() -> None:
-            while pending and len(running) < self.workers:
+            while pending and len(running) < max(1, self.workers):
                 index = pending.pop(0)
                 job = jobs[index]
                 cached = self._cache_lookup(job)
                 if cached is not None:
-                    outcomes[index] = self._settle(cached, progress)
-                    if stop_when and stop_when(cached):
-                        raise _StopBatch()
+                    settle(index, cached)
+                    continue
+                if self.workers == 0:
+                    self._emit_resumed(job, progress)
+                    started = time.perf_counter()
+                    report = _execute(job, self.cache)
+                    settle(index, _reported(job, report, time.perf_counter() - started))
                     continue
                 receiver, sender = context.Pipe(duplex=False)
                 process = context.Process(
@@ -401,7 +387,7 @@ class WorkerPool:
 
         try:
             launch()
-            while pending or running:
+            while running:
                 now = time.perf_counter()
                 for index in list(running):
                     state = running[index]
@@ -410,33 +396,28 @@ class WorkerPool:
                         continue
                     del running[index]
                     state.conn.close()
-                    outcomes[index] = self._settle(outcome, progress)
-                    if stop_when and stop_when(outcome):
-                        raise _StopBatch()
+                    settle(index, outcome)
                 launch()
                 if running:
                     _wait_for_change(running.values())
         except _StopBatch:
-            stopped = True
+            pass
         finally:
-            if stopped or running or pending:
-                for index, state in running.items():
-                    _terminate(state.process)
-                    state.conn.close()
-                    outcomes[index] = self._settle(
-                        JobOutcome(
-                            job=state.job,
-                            status="cancelled",
-                            runtime=time.perf_counter() - state.started_at,
-                            error="cancelled",
-                        ),
-                        progress,
-                    )
-                for index in pending:
-                    outcomes[index] = self._settle(
-                        JobOutcome(job=jobs[index], status="cancelled", error="cancelled"),
-                        progress,
-                    )
+            for state in running.values():
+                _terminate(state.process)
+                state.conn.close()
+            now = time.perf_counter()
+            for index in [*running, *pending]:
+                state = running.get(index)
+                outcomes[index] = self._settle(
+                    JobOutcome(
+                        job=jobs[index],
+                        status="cancelled",
+                        runtime=now - state.started_at if state else 0.0,
+                        error="cancelled",
+                    ),
+                    progress,
+                )
 
     def _receive(self, state: _Running) -> None:
         """Pull the worker's report off its pipe, if one is available.
@@ -462,35 +443,8 @@ class WorkerPool:
         self._receive(state)
         elapsed = now - state.started_at
         if state.message is not None:
-            ok, payload = state.message
             state.process.join(timeout=5.0)
-            if ok:
-                entry = self.cache.peek(state.job) if self.cache is not None else None
-                return JobOutcome(
-                    job=state.job,
-                    status="completed",
-                    summary=dict(payload["summary"]),
-                    runtime=float(payload["runtime"]),
-                    entry=entry,
-                    layout_doc=payload.get("layout"),
-                    phases=list(payload["phases"]),
-                    profile=payload.get("profile"),
-                    trace_id=str(payload.get("trace", "")),
-                )
-            LOG.log(
-                "worker.failed",
-                level="error",
-                trace=getattr(state.job, "trace_id", ""),
-                key=state.job.content_hash,
-                error=str(payload),
-            )
-            return JobOutcome(
-                job=state.job,
-                status="failed",
-                runtime=elapsed,
-                error=str(payload),
-                trace_id=getattr(state.job, "trace_id", ""),
-            )
+            return _reported(state.job, state.message, elapsed)
         if state.deadline is not None and now > state.deadline:
             _terminate(state.process)
             LOG.log(

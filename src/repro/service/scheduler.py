@@ -497,11 +497,15 @@ class LayoutScheduler:
     ) -> Tuple[JobRecord, str]:
         """The admission state machine (caller holds ``self._lock``)."""
 
-        def admission_span(record_key: str, detail: str) -> None:
-            self.traces.begin(record_key, trace, "")
+        def admitted(record: JobRecord, detail: str) -> None:
+            # The admission span and the job stream's opening event.
+            self.traces.begin(record.key, trace, "")
             self.traces.span(
-                record_key, "admission", admit_wall,
+                record.key, "admission", admit_wall,
                 CLOCK.perf() - admit_perf, detail=detail,
+            )
+            self.bus.publish(
+                "queued", record.key, record.label, "queued", trace=record.trace_id
             )
 
         existing = self.queue.get(key)
@@ -516,10 +520,7 @@ class LayoutScheduler:
             if disposition == "attached":
                 self.telemetry.bump("attached")
             elif disposition in ("queued", "requeued"):
-                admission_span(key, disposition)
-                self.bus.publish(
-                    "queued", key, record.label, "queued", trace=record.trace_id
-                )
+                admitted(record, disposition)
                 self._wakeup.notify()
             return record, disposition
         if existing is not None and existing.state == "done":
@@ -536,10 +537,7 @@ class LayoutScheduler:
             # but the layout is gone — force the work back into the queue.
             self._check_capacity(existing.priority)
             record = self.queue.requeue(key, trace_id=trace)
-            admission_span(key, "requeued")
-            self.bus.publish(
-                "queued", key, record.label, "queued", trace=record.trace_id
-            )
+            admitted(record, "requeued")
             self._wakeup.notify()
             return record, "requeued"
         if self.cache.peek(job) is None:
@@ -557,28 +555,15 @@ class LayoutScheduler:
             # cache): settle instantly, never touching the pool.
             summary = dict(entry.summary)
             summary["served"] = "cache"
-            self.queue.settle(
-                key,
-                "done",
+            admitted(record, "served from cache")
+            self._settle(
+                record, "done", ("served_from_cache",),
                 summary=summary,
                 runtime=float(entry.summary.get("runtime_s", 0.0)),
+                detail="served from cache",
             )
-            self.telemetry.bump("served_from_cache")
-            admission_span(key, "served from cache")
-            settled = self.queue.get(key)
-            self._observe_settled(settled)
-            self.bus.publish(
-                "queued", key, record.label, "queued", trace=record.trace_id
-            )
-            self.bus.publish(
-                "done", key, record.label, "done",
-                detail="served from cache", trace=record.trace_id,
-            )
-            return settled, "cached"
-        admission_span(key, disposition)
-        self.bus.publish(
-            "queued", key, record.label, "queued", trace=record.trace_id
-        )
+            return record, "cached"
+        admitted(record, disposition)
         self._wakeup.notify()
         return record, disposition
 
@@ -690,24 +675,10 @@ class LayoutScheduler:
             f"poisoned: quarantine budget exhausted "
             f"(attempts={record.attempts}/{self.poison_threshold})"
         )
-        if self.queue.settle(record.key, "failed", error=error):
-            self.telemetry.bump("poisoned")
-            self.telemetry.bump("failures")
-            # Never dispatched this time around: the whole latency is wait.
-            self._observe_settled(
-                record, queue_wait=record.settled_unix - record.submitted_unix
-            )
-            LOG.log(
-                "job.quarantined",
-                level="error",
-                trace=record.trace_id,
-                key=record.key,
-                error=error,
-            )
-            self.bus.publish(
-                "failed", record.key, record.label, "failed",
-                detail=error, trace=record.trace_id,
-            )
+        self._settle(
+            record, "failed", ("poisoned", "failures"),
+            error=error, queued_until_settled=True,
+        )
 
     def _dispatch_thread(self) -> None:
         """Supervisor shell around :meth:`_dispatch_loop`.
@@ -760,7 +731,10 @@ class LayoutScheduler:
                 )
                 worker_s = CLOCK.perf() - worker_perf
             except Exception as exc:  # noqa: BLE001 - dispatcher boundary
-                self._settle_failure(record, f"{type(exc).__name__}: {exc}")
+                self._settle(
+                    record, "failed", ("failures",),
+                    error=f"{type(exc).__name__}: {exc}",
+                )
                 continue
             self._record_worker_spans(record, outcome, worker_wall, worker_s)
             settle_wall = CLOCK.time()
@@ -880,101 +854,129 @@ class LayoutScheduler:
         return forward
 
     def _settle_outcome(self, record: JobRecord, outcome: JobOutcome) -> None:
-        state = "done" if outcome.ok else _TERMINAL_KINDS.get(outcome.status, "failed")
         summary = dict(outcome.summary or {})
         error = outcome.error
-        if outcome.ok:
-            summary["served"] = "cache" if outcome.status == "cached" else "solve"
-            if outcome.status == "cached":
-                self.telemetry.bump("served_from_cache")
-            else:
-                self.telemetry.bump("solved")
-                self._observe_runtime(outcome.runtime)
-                self._observe_resume(record, outcome, summary)
+        solved = None
+        if outcome.status == "cached":
+            summary["served"] = "cache"
+            counters: Tuple[str, ...] = ("served_from_cache",)
+        elif outcome.ok:
+            summary["served"] = "solve"
+            counters = ("solved",)
+            solved = outcome
+            resumed_from = (outcome.profile or {}).get("resumed_from_phase")
+            if resumed_from:
+                summary["resumed_from_phase"] = str(resumed_from)
+        elif self._is_worker_crash(outcome):
+            fresh = self.queue.get(record.key)
+            attempts = fresh.attempts if fresh is not None else record.attempts
+            if attempts < self.poison_threshold:
+                # The crash may be environmental (OOM spike, injected
+                # fault): give the job another worker — but only
+                # poison_threshold of them in total.
+                self.telemetry.bump("crash_retries")
+                self.queue.requeue(record.key)
+                LOG.log(
+                    "job.crash_retry",
+                    level="warning",
+                    trace=record.trace_id,
+                    key=record.key,
+                    attempt=attempts,
+                    budget=self.poison_threshold,
+                )
+                self.bus.publish(
+                    "queued",
+                    record.key,
+                    record.label,
+                    "queued",
+                    detail=(
+                        f"retry {attempts}/{self.poison_threshold} "
+                        f"after worker crash"
+                    ),
+                    trace=record.trace_id,
+                )
+                with self._wakeup:
+                    self._wakeup.notify()
+                return
+            # This job reliably kills its workers: quarantine it so it
+            # cannot eat the pool forever.
+            counters = ("poisoned", "failures")
+            error = f"poisoned: {outcome.error} (attempts={attempts})"
         else:
-            if self._is_worker_crash(outcome):
-                fresh = self.queue.get(record.key)
-                attempts = fresh.attempts if fresh is not None else record.attempts
-                if attempts < self.poison_threshold:
-                    # The crash may be environmental (OOM spike, injected
-                    # fault): give the job another worker — but only
-                    # poison_threshold of them in total.
-                    self.telemetry.bump("crash_retries")
-                    self.queue.requeue(record.key)
-                    LOG.log(
-                        "job.crash_retry",
-                        level="warning",
-                        trace=record.trace_id,
-                        key=record.key,
-                        attempt=attempts,
-                        budget=self.poison_threshold,
-                    )
-                    self.bus.publish(
-                        "queued",
-                        record.key,
-                        record.label,
-                        "queued",
-                        detail=(
-                            f"retry {attempts}/{self.poison_threshold} "
-                            f"after worker crash"
-                        ),
-                        trace=record.trace_id,
-                    )
-                    with self._wakeup:
-                        self._wakeup.notify()
-                    return
-                # This job reliably kills its workers: quarantine it so it
-                # cannot eat the pool forever.
-                self.telemetry.bump("poisoned")
-                error = f"poisoned: {outcome.error} (attempts={attempts})"
-            self.telemetry.bump("failures")
-        settled = self.queue.settle(
-            record.key,
-            state,
+            counters = ("failures",)
+        self._settle(
+            record, _TERMINAL_KINDS.get(outcome.status, "failed"), counters,
             summary=summary or None,
             error=error,
             runtime=outcome.runtime,
+            solved=solved,
         )
-        # Observed with the same unconditionality as the counter bumps
-        # above, so the latency histogram's count stays exactly equal to
-        # solved + served_from_cache + failures (minus cache serves, which
-        # have their own histogram).
+
+    def _settle(
+        self,
+        record: JobRecord,
+        state: str,
+        counters: Tuple[str, ...],
+        summary: Optional[Dict[str, object]] = None,
+        error: Optional[str] = None,
+        runtime: float = 0.0,
+        detail: str = "",
+        solved: Optional[JobOutcome] = None,
+        queued_until_settled: bool = False,
+    ) -> None:
+        """The one settlement path: journal, counters, histograms, log, SSE.
+
+        Nothing happens unless ``queue.settle`` reports a real transition,
+        so settling an already-terminal record changes no counter, no
+        histogram and no event stream — and counters and histograms move
+        together, which keeps the load harness's count identity exact.
+        ``solved`` is a fresh solve's outcome (runtime EMA, resume
+        accounting, the ``solve`` stage); ``queued_until_settled`` marks a
+        record that never left the queue, so its whole latency is wait.
+        """
+        if not self.queue.settle(
+            record.key, state, summary=summary, error=error, runtime=runtime
+        ):
+            return
+        for name in counters:
+            self.telemetry.bump(name)
+        if solved is not None:
+            self._observe_solved(record, solved)
         self._observe_settled(
-            record, solve=outcome.runtime if outcome.status == "completed" else 0.0
+            record,
+            solve=solved.runtime if solved is not None else 0.0,
+            queued_until_settled=queued_until_settled,
         )
         LOG.log(
             "job.settled",
-            level="info" if outcome.ok else "error",
+            level="info" if state == "done" else "error",
             trace=record.trace_id,
             key=record.key,
             state=state,
-            runtime_s=round(outcome.runtime, 3),
+            runtime_s=round(runtime, 3),
             error=error,
         )
-        if settled:
-            self.bus.publish(
-                _TERMINAL_KINDS.get(outcome.status, "failed"),
-                record.key,
-                record.label,
-                state,
-                detail=error or "",
-                runtime=outcome.runtime,
-                trace=record.trace_id,
-            )
+        self.bus.publish(
+            state, record.key, record.label, state,
+            detail=error or detail, runtime=runtime, trace=record.trace_id,
+        )
 
-    def _observe_resume(
-        self,
-        record: JobRecord,
-        outcome: JobOutcome,
-        summary: Dict[str, object],
-    ) -> None:
-        """Account a solved job's checkpoint activity at settlement.
+    def _observe_solved(self, record: JobRecord, outcome: JobOutcome) -> None:
+        """Account a fresh solve at settlement: runtime EMA and checkpoints.
 
-        The worker's solve profile is the authoritative source: it counts
-        checkpoints that actually landed (the durable write succeeded) and
+        The EMA behind the ``Retry-After`` hint is fed by every dispatcher,
+        so its read-modify-write happens under ``_ema_lock``.  The worker's
+        solve profile is the authoritative source for checkpoints: it
+        counts those that actually landed (the durable write succeeded) and
         names the phase a resumed solve continued from, so the metrics
         cannot drift from what the worker really did.
         """
+        if outcome.runtime > 0:
+            with self._ema_lock:
+                if self._runtime_ema <= 0:
+                    self._runtime_ema = outcome.runtime
+                else:
+                    self._runtime_ema = 0.8 * self._runtime_ema + 0.2 * outcome.runtime
         profile = outcome.profile or {}
         writes = int(profile.get("checkpoint_writes", 0) or 0)
         if writes:
@@ -985,7 +987,6 @@ class LayoutScheduler:
         self.telemetry.bump("resumed")
         saved = float(profile.get("resume_saved_s", 0.0) or 0.0)
         self.telemetry.resume_saved.observe(max(0.0, saved))
-        summary["resumed_from_phase"] = str(resumed_from)
         LOG.log(
             "job.resumed",
             level="info",
@@ -1008,55 +1009,27 @@ class LayoutScheduler:
             and "worker crashed" in outcome.error
         )
 
-    def _observe_runtime(self, runtime: float) -> None:
-        """Feed the runtime EMA behind the ``Retry-After`` hint.
-
-        Every dispatcher reports here; the read-modify-write of the EMA
-        happens under ``_ema_lock`` or concurrent settlements would
-        silently drop samples.
-        """
-        if runtime <= 0:
-            return
-        with self._ema_lock:
-            if self._runtime_ema <= 0:
-                self._runtime_ema = runtime
-            else:
-                self._runtime_ema = 0.8 * self._runtime_ema + 0.2 * runtime
-
     def _observe_settled(
         self,
         record: JobRecord,
         solve: float = 0.0,
-        queue_wait: Optional[float] = None,
+        queued_until_settled: bool = False,
     ) -> None:
         """Feed one settlement into the telemetry histograms and mark the
         job's span tree settled (evictable).
 
-        ``queue_wait`` defaults to the wait from submission to dispatch
-        (none for a job that never reached a dispatcher).
+        The queue wait is the wait from submission to dispatch (none for
+        a job that never reached a dispatcher), or the whole latency when
+        ``queued_until_settled``.
         """
         total = (record.settled_unix or CLOCK.time()) - record.submitted_unix
-        if queue_wait is None and record.started_unix is not None:
+        queue_wait = 0.0
+        if queued_until_settled:
+            queue_wait = total
+        elif record.started_unix is not None:
             queue_wait = record.started_unix - record.submitted_unix
-        self.telemetry.observe_settled(total, queue_wait or 0.0, solve)
+        self.telemetry.observe_settled(total, queue_wait, solve)
         self.traces.settle(record.key)
-
-    def _settle_failure(self, record: JobRecord, error: str) -> None:
-        self.telemetry.bump("failures")
-        settled = self.queue.settle(record.key, "failed", error=error)
-        self._observe_settled(record)
-        LOG.log(
-            "job.failed",
-            level="error",
-            trace=record.trace_id,
-            key=record.key,
-            error=error,
-        )
-        if settled:
-            self.bus.publish(
-                "failed", record.key, record.label, "failed",
-                detail=error, trace=record.trace_id,
-            )
 
     # ------------------------------------------------------------------ #
     # introspection

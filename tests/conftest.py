@@ -7,6 +7,9 @@ resulting layouts reuse the same solved object.
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from repro.circuit import (
@@ -187,3 +190,19 @@ def hand_layout(tiny_netlist) -> Layout:
         )
     )
     return layout
+
+
+# --------------------------------------------------------------------------- #
+# structured log capture
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def log_lines():
+    """Capture the structured log; yields a reader of the parsed lines."""
+    from repro.obs.logging import LOG
+
+    sink = io.StringIO()
+    LOG.configure(stream=sink)
+    yield lambda: [json.loads(line) for line in sink.getvalue().splitlines()]
+    LOG.disable()

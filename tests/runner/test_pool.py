@@ -249,3 +249,80 @@ class TestBatchRunner:
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=-1)
+
+
+def traced(tag, cls=QuickJob, trace="trace-parity"):
+    job = quick(tag, cls)
+    job.trace_id = trace
+    return job
+
+
+class TestInlineForkedParity:
+    """``workers=0`` and forked workers run and report a job the same way."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_same_job_same_outcome(self, tmp_path, cached):
+        outcomes = {}
+        for workers in (0, 1):
+            cache = ResultCache(tmp_path / f"w{workers}") if cached else None
+            pool = WorkerPool(workers=workers, cache=cache)
+            outcomes[workers] = pool.run([traced("parity")])[0]
+        inline, forked = outcomes[0], outcomes[1]
+        assert inline.status == forked.status == "completed"
+        assert inline.summary == forked.summary
+        assert inline.phases == forked.phases
+        assert inline.runtime == forked.runtime
+        assert set(inline.profile) == set(forked.profile)
+        assert ("cache_put_s" in inline.profile) is cached
+        assert (inline.entry is None) == (forked.entry is None) == (not cached)
+        assert (inline.layout_doc is None) == (forked.layout_doc is None) == cached
+        if cached:
+            assert inline.entry.summary == forked.entry.summary
+        else:
+            assert inline.layout_doc == forked.layout_doc
+        assert inline.trace_id == forked.trace_id == "trace-parity"
+
+    def test_failing_job_same_error_and_log(self, log_lines):
+        outcomes = {
+            workers: WorkerPool(workers=workers).run([traced("boom", FailingJob)])[0]
+            for workers in (0, 1)
+        }
+        assert outcomes[0].status == outcomes[1].status == "failed"
+        assert outcomes[0].error == outcomes[1].error == "ValueError: rigged failure"
+        assert outcomes[0].trace_id == outcomes[1].trace_id == "trace-parity"
+        failed = [line for line in log_lines() if line["event"] == "worker.failed"]
+        assert len(failed) == 2  # one per mode
+        assert all(line["error"] == "ValueError: rigged failure" for line in failed)
+        assert all(line["trace"] == "trace-parity" for line in failed)
+
+    def test_cancellation_same_error(self):
+        results = {}
+        for workers in (0, 1):
+            events = []
+            outcomes = WorkerPool(workers=workers, progress=events.append).run(
+                [quick("first"), quick("second"), quick("third")],
+                stop_when=lambda outcome: outcome.ok,
+            )
+            cancelled = [e.detail for e in events if e.kind == "cancelled"]
+            results[workers] = (
+                [o.status for o in outcomes], [o.error for o in outcomes], cancelled
+            )
+        assert results[0] == results[1]
+        statuses, errors, details = results[0]
+        assert statuses == ["completed", "cancelled", "cancelled"]
+        assert errors == [None, "cancelled", "cancelled"]
+        assert details == ["cancelled", "cancelled"]
+
+    def test_keyboard_interrupt_cancels_the_rest_inline(self):
+        class Interrupted(LayoutJob):
+            def run(self):
+                raise KeyboardInterrupt
+
+        events = []
+        with pytest.raises(KeyboardInterrupt):
+            WorkerPool(workers=0, progress=events.append).run(
+                [quick("stop", Interrupted), quick("later")]
+            )
+        assert [(e.kind, e.job_key) for e in events if e.kind != "submitted"] == [
+            ("cancelled", quick("later").content_hash[:12])
+        ]

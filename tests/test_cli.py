@@ -62,6 +62,14 @@ class TestServiceCommands:
         assert args.dispatchers == 2
         assert not args.inline
 
+    def test_inline_serve_rejects_job_timeout(self, tmp_path):
+        with pytest.raises(SystemExit, match="--job-timeout needs worker processes"):
+            main([
+                "serve", "--data-dir", str(tmp_path / "svc"), "--port", "0",
+                "--inline", "--job-timeout", "5",
+            ])
+        assert not (tmp_path / "svc").exists()  # refused before booting
+
     def test_serve_slo_flags(self):
         args = build_parser().parse_args(["serve"])
         assert args.slo_availability is None
@@ -252,6 +260,13 @@ class TestBatchCommand:
         output = capsys.readouterr().out
         assert "timeout" in output
         assert "failed or timed out" in output
+
+    def test_inline_batch_rejects_timeout(self):
+        with pytest.raises(SystemExit, match="--timeout needs worker processes"):
+            main([
+                "batch", "lna60", "--flow", "manual", "--no-cache",
+                "--workers", "0", "--timeout", "5", "--quiet",
+            ])
 
     def test_default_cancels_rest_after_failure(self, tmp_path, capsys):
         rows_path = tmp_path / "rows.json"
