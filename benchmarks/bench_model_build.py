@@ -3,7 +3,9 @@
 The solver dominates end-to-end flow time, so the batched model-build fast
 path (:mod:`repro.ilp.compile`) is easiest to observe in isolation: this
 benchmark builds the Phase-1 and exact models for the two headline circuits
-and lowers them to standard form, without ever invoking a solver.
+and lowers them to standard form, without ever invoking a solver.  The exact
+rows build the model the exact flow solves
+(:func:`repro.core.exact.build_exact_model`), bend AND rows included.
 
 Run with ``pytest benchmarks/bench_model_build.py`` (add
 ``--benchmark-disable`` for a quick perf smoke without the statistical
@@ -13,15 +15,16 @@ repetition).
 from _bench_utils import bench_config, bench_variant, run_once
 
 from repro.circuits import get_circuit
+from repro.core.exact import build_exact_model
 from repro.core.model_builder import BuildOptions, RficModelBuilder
 from repro.core.phase1 import _phase1_windows
 from repro.core.windows import mean_device_extent
 
 
-def _phase1_options(netlist, config) -> BuildOptions:
+def _phase1_model(netlist, config):
     reservation = config.blur_margin_factor * mean_device_extent(netlist)
     device_windows, chain_windows = _phase1_windows(netlist, config)
-    return BuildOptions(
+    options = BuildOptions(
         blurred_devices=True,
         exact_lengths=False,
         allow_overlap=True,
@@ -34,20 +37,11 @@ def _phase1_options(netlist, config) -> BuildOptions:
         device_windows=device_windows,
         chain_windows=chain_windows,
     )
+    return RficModelBuilder(netlist, config, options).build()
 
 
-def _exact_options(netlist, config) -> BuildOptions:
-    return BuildOptions(
-        blurred_devices=False,
-        exact_lengths=True,
-        allow_overlap=False,
-        include_device_blocks=True,
-    )
-
-
-def _build_and_compile(netlist, config, options_factory):
-    options = options_factory(netlist, config)
-    build = RficModelBuilder(netlist, config, options).build()
+def _build_and_compile(netlist, config, build_model):
+    build = build_model(netlist, config)
     form = build.model.to_standard_form()
     return build, form
 
@@ -65,7 +59,7 @@ def test_model_build_phase1_buffer60(benchmark):
     circuit = get_circuit("buffer60", bench_variant())
     config = bench_config()
     build, form = run_once(
-        benchmark, _build_and_compile, circuit.netlist, config, _phase1_options
+        benchmark, _build_and_compile, circuit.netlist, config, _phase1_model
     )
     _report("phase1[buffer60]", build, form)
     assert form.num_constraints > 0
@@ -76,7 +70,7 @@ def test_model_build_phase1_lna94(benchmark):
     circuit = get_circuit("lna94", bench_variant())
     config = bench_config()
     build, form = run_once(
-        benchmark, _build_and_compile, circuit.netlist, config, _phase1_options
+        benchmark, _build_and_compile, circuit.netlist, config, _phase1_model
     )
     _report("phase1[lna94]", build, form)
     assert form.num_constraints > 0
@@ -87,7 +81,7 @@ def test_model_build_exact_buffer60(benchmark):
     circuit = get_circuit("buffer60", bench_variant())
     config = bench_config()
     build, form = run_once(
-        benchmark, _build_and_compile, circuit.netlist, config, _exact_options
+        benchmark, _build_and_compile, circuit.netlist, config, build_exact_model
     )
     _report("exact[buffer60]", build, form)
     assert form.num_constraints > 0
@@ -97,7 +91,7 @@ def test_model_build_exact_lna94(benchmark):
     circuit = get_circuit("lna94", bench_variant())
     config = bench_config()
     build, form = run_once(
-        benchmark, _build_and_compile, circuit.netlist, config, _exact_options
+        benchmark, _build_and_compile, circuit.netlist, config, build_exact_model
     )
     _report("exact[lna94]", build, form)
     assert form.num_constraints > 0
@@ -107,8 +101,7 @@ def test_incremental_recompile_is_cheap(benchmark):
     """Appending to a compiled model must not re-lower the whole model."""
     circuit = get_circuit("buffer60", bench_variant())
     config = bench_config()
-    options = _exact_options(circuit.netlist, config)
-    build = RficModelBuilder(circuit.netlist, config, options).build()
+    build = build_exact_model(circuit.netlist, config)
     model = build.model
     model.to_standard_form()  # prime the cache
 

@@ -91,6 +91,11 @@ class PhaseSettings:
     pinned LP with no optimum, and to the flow's fallback search, which runs
     when the flow's final layout from the repair fails DRC (see
     :mod:`repro.core.pilp`).
+
+    The exact flow (:mod:`repro.core.exact`) reads only ``time_limit``,
+    ``mip_gap`` and ``backend`` of ``PILPConfig.exact``: it solves its one
+    model cold and to the gap, and ignores ``warm_start`` and
+    ``progressive``.
     """
 
     time_limit: Optional[float] = 120.0

@@ -9,6 +9,21 @@ progressive flow of Section 5.  We keep the exact flow because
 * it is the ground truth for small circuits (the progressive flow should
   reach the same bend counts),
 * it is the baseline of the exact-vs-progressive ablation benchmark.
+
+The model adds one thing to the paper's: the AND lower bounds of the bend
+indicators (:meth:`RficModelBuilder.add_bend_and_rows`), two rows per
+interior chain point.  Rows (8)-(10) alone let the LP relaxation put
+``t_hv`` at 0 at a turn, so the solver spent most of its time in the tree.
+The added rows are valid (every integer point of (8)-(10) satisfies them),
+so the optimum does not change.  On the tiny two-net circuit under
+``PILPConfig.fast()`` the solve to the gap went from 1,007 nodes and 7.6 s
+to 186 nodes and 1.6 s (2-core VM, HiGHS 1.12.0), same objective.
+
+The P-ILP phases build their models without these rows.  Their Phase-3
+searches stop on a stall window, not on the gap, and the rows change their
+search path: appended to every P-ILP model, they left reduced buffer60 with
+5 bends instead of 3 in 3 of 3 runs.  The exact flow runs to its gap, so it
+is the one search where the tighter LP helps.
 """
 
 from __future__ import annotations
@@ -19,10 +34,25 @@ from typing import Optional
 from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
-from repro.core.model_builder import BuildOptions, RficModelBuilder
+from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
 from repro.core.result import FlowResult, PhaseResult
 from repro.layout.drc import run_drc
 from repro.layout.metrics import compute_metrics
+
+
+def build_exact_model(netlist: Netlist, config: PILPConfig) -> BuildResult:
+    """The model the exact flow solves: Section 4's rows plus the AND rows."""
+    options = BuildOptions(
+        blurred_devices=False,
+        exact_lengths=True,
+        allow_overlap=False,
+        include_device_blocks=True,
+        same_net_spacing=config.same_net_spacing,
+    )
+    builder = RficModelBuilder(netlist, config, options, name=f"exact[{netlist.name}]")
+    build = builder.build()
+    builder.add_bend_and_rows()
+    return build
 
 
 class ExactLayoutGenerator:
@@ -43,15 +73,8 @@ class ExactLayoutGenerator:
             solution within the configured time limit.
         """
         start = time.perf_counter()
-        options = BuildOptions(
-            blurred_devices=False,
-            exact_lengths=True,
-            allow_overlap=False,
-            include_device_blocks=True,
-            same_net_spacing=self.config.same_net_spacing,
-        )
-        builder = RficModelBuilder(netlist, self.config, options, name=f"exact[{netlist.name}]")
-        build = builder.build()
+        build = build_exact_model(netlist, self.config)
+        model_build_time = time.perf_counter() - start
         settings = self.config.exact
         solution = build.model.solve(
             backend=settings.backend,
@@ -83,15 +106,25 @@ class ExactLayoutGenerator:
             bend_counts=build.bend_counts(solution),
             total_overlap=0.0,
             model_statistics=build.model.statistics(),
+            model_build_time=model_build_time,
         )
+        metrics_started = time.perf_counter()
+        metrics = compute_metrics(layout)
+        drc_started = time.perf_counter()
+        drc = run_drc(layout)
+        timings = {
+            "metrics_s": drc_started - metrics_started,
+            "drc_s": time.perf_counter() - drc_started,
+        }
         return FlowResult(
             flow=self.flow_name,
             circuit=netlist.name,
             layout=layout,
-            metrics=compute_metrics(layout),
-            drc=run_drc(layout),
+            metrics=metrics,
+            drc=drc,
             runtime=runtime,
             phases=[phase],
+            timings=timings,
         )
 
 

@@ -6,7 +6,8 @@ program following the paper's formulation:
 * chain-point coordinates and four direction binaries per segment
   (equations (1)-(5)),
 * linearised segment lengths (equation (6)) and geometric lengths (7),
-* bend detection at chain points (equations (8)-(11)),
+* bend detection at chain points (equations (8)-(11)), plus the valid AND
+  rows of :meth:`RficModelBuilder.add_bend_and_rows` in the exact model,
 * equivalent length with the per-bend compensation δ (12) matched exactly
   (13) or softly via unmatched-length variables (23)-(25),
 * pin connections (14) and pad boundary placement (15),
@@ -780,6 +781,33 @@ class RficModelBuilder:
             bend_vars.append(bend)
         model.add_linear_batch(batch)
         return bend_vars
+
+    def add_bend_and_rows(self) -> None:
+        """Add the AND lower bounds of the bend indicators; call after :meth:`build`.
+
+        With ``h = s_r + s_l`` and ``v = s_u + s_d``, every integer point of
+        rows (8)-(10) has ``t_hv = h_prev AND v_cur`` and ``t_vh = v_prev
+        AND h_cur``, so the rows ``h_prev + v_cur - t_hv <= 1`` and ``v_prev
+        + h_cur - t_vh <= 1`` cut off no integer point.  They do cut off the
+        LP points with ``t_hv = 0`` at a turn, which (8)-(10) alone allow.
+        Two rows per interior chain point, appended as one batch after every
+        other row: emitted next to rows (8)-(10) instead, they cost the tiny
+        exact solve more nodes (row order steers HiGHS).
+        """
+        batch = ConstraintBatch()
+        for net_vars in self._nets.values():
+            segments = net_vars.segments
+            for previous, current in zip(segments, segments[1:]):
+                prefix = f"net[{net_vars.name}].bend[{current.index}]"
+                for turn, before, after in (("hv", "rl", "ud"), ("vh", "ud", "rl")):
+                    batch.add_le(
+                        1.0,
+                        [(previous.directions[d], 1.0) for d in before],
+                        [(current.directions[d], 1.0) for d in after],
+                        [(self.model.get_var(f"{prefix}.t_{turn}"), -1.0)],
+                        name=f"{prefix}.{turn}_and",
+                    )
+        self.model.add_linear_batch(batch)
 
     # ------------------------------------------------------------------ #
     # connections (equation (14))

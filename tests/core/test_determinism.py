@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 from repro.circuits import get_circuit
-from repro.core import PILPLayoutGenerator
+from repro.core import ExactLayoutGenerator, PILPLayoutGenerator
 from repro.core.config import PILPConfig
 from repro.core.phase1 import run_phase1
 from repro.core.phase2 import run_phase2
@@ -64,3 +64,20 @@ def test_tiny_job_settles_to_one_layout_inline_and_forked():
     assert inline.status == forked.status == "completed"
     assert inline.summary["drc_clean"]
     assert _without_runtime(inline.layout_doc) == _without_runtime(forked.layout_doc)
+
+
+def test_tiny_exact_flow_settles_to_one_layout_in_process_inline_and_forked():
+    """The exact flow runs to its gap, so no clock decides its layout."""
+    netlist = tiny_workload_netlist()
+    config = PILPConfig.fast()
+    in_process = [
+        _without_runtime(layout_to_dict(ExactLayoutGenerator(config).generate(netlist).layout))
+        for _ in range(2)
+    ]
+    job = LayoutJob(flow="exact", netlist=netlist, config=config)
+    inline, forked = (WorkerPool(workers=workers).run([job])[0] for workers in (0, 1))
+    assert inline.status == forked.status == "completed"
+    assert inline.summary["drc_clean"]
+    assert in_process[0] == in_process[1]
+    assert in_process[0] == _without_runtime(inline.layout_doc)
+    assert in_process[0] == _without_runtime(forked.layout_doc)

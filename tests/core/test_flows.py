@@ -8,8 +8,10 @@ the boundary, and few bends.
 
 import pytest
 
-from repro.core import PILPConfig, plan_refinement
+from repro.core import BuildOptions, PILPConfig, RficModelBuilder, plan_refinement
+from repro.core.exact import build_exact_model
 from repro.core.result import FlowResult, PhaseResult
+from repro.ilp.solution import SolveStatus
 from repro.layout import ViolationKind, compute_metrics, run_drc
 
 pytestmark = pytest.mark.slow
@@ -45,6 +47,28 @@ class TestExactFlow:
 
     def test_metadata_describes_flow(self, exact_tiny_result):
         assert exact_tiny_result.layout.metadata["flow"] == "exact-ilp"
+
+    def test_profile_has_every_stage(self, exact_tiny_result):
+        profile = exact_tiny_result.profile()
+        assert profile["phases"][0]["model_build_s"] > 0
+        assert {"drc_s", "metrics_s"} <= set(profile)
+
+    def test_bend_and_rows_keep_the_optimum(self, session_tiny_netlist):
+        """Solved to gap 0, the exact model has the same optimum without its AND rows."""
+        config = PILPConfig.fast()
+        options = BuildOptions(exact_lengths=True, allow_overlap=False, include_device_blocks=True)
+        without_rows = RficModelBuilder(session_tiny_netlist, config, options).build()
+        with_rows = build_exact_model(session_tiny_netlist, config)
+        interior_points = sum(len(net.segments) - 1 for net in with_rows.nets.values())
+        assert (
+            with_rows.model.num_constraints
+            == without_rows.model.num_constraints + 2 * interior_points
+        )
+        solutions = [
+            build.model.solve(time_limit=120.0, mip_gap=0.0) for build in (without_rows, with_rows)
+        ]
+        assert all(solution.status is SolveStatus.OPTIMAL for solution in solutions)
+        assert solutions[0].objective == pytest.approx(solutions[1].objective)
 
 
 class TestProgressiveFlow:

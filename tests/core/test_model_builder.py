@@ -5,6 +5,8 @@ constraint families, pruning, options) without solving anything expensive;
 the solved-model behaviour is covered by the exact-flow and P-ILP tests.
 """
 
+import itertools
+
 import pytest
 
 from repro.circuit import Rotation
@@ -132,6 +134,64 @@ class TestModelStructure:
             large.model.statistics()["binary_variables"]
             > small.model.statistics()["binary_variables"]
         )
+
+
+def _bend_point_rows(netlist, config):
+    """A one-bend-point net's model with the AND rows, and that point's rows."""
+    builder = RficModelBuilder(
+        netlist, config, BuildOptions(chain_point_counts={"ms_in": 3, "ms_out": 2})
+    )
+    result = builder.build()
+    builder.add_bend_and_rows()
+    prefix = "net[ms_in].bend[1]"
+    rows = {
+        constraint.name[len(prefix) + 1 :]: constraint
+        for constraint in result.model.constraints
+        if constraint.name.startswith(prefix + ".")
+    }
+    previous, current = result.nets["ms_in"].segments
+    return result.model, rows, previous, current
+
+
+class TestBendAndRows:
+    @pytest.mark.parametrize(
+        "previous_direction, current_direction",
+        list(itertools.product(DIRECTIONS, repeat=2)),
+    )
+    def test_rows_cut_off_no_integer_point_of_the_bend_rows(
+        self, netlist, config, previous_direction, current_direction
+    ):
+        model, rows, previous, current = _bend_point_rows(netlist, config)
+        assert set(rows) == {"hv", "vh", "sum", "hv_and", "vh_and"}
+        directions = {
+            var: 1.0 if name == chosen else 0.0
+            for segment, chosen in ((previous, previous_direction), (current, current_direction))
+            for name, var in segment.directions.items()
+        }
+        aux = [
+            model.get_var(f"net[ms_in].bend[1].{name}")
+            for name in ("t_hv", "u_hv", "t_vh", "u_vh", "t")
+        ]
+        # The binary (t, u) values that rows (8)-(10) allow for these directions.
+        forced = []
+        for bits in itertools.product((0.0, 1.0), repeat=len(aux)):
+            point = {**directions, **dict(zip(aux, bits))}
+            if all(rows[name].is_satisfied(point) for name in ("hv", "vh", "sum")):
+                forced.append(point)
+        assert len(forced) == 1
+        assert rows["hv_and"].is_satisfied(forced[0])
+        assert rows["vh_and"].is_satisfied(forced[0])
+
+    def test_rows_cut_off_the_fractional_turn_that_rows_8_to_10_allow(self, netlist, config):
+        model, rows, previous, current = _bend_point_rows(netlist, config)
+        point = {
+            var: 0.0 for segment in (previous, current) for var in segment.directions.values()
+        }
+        point[previous.directions["r"]] = point[current.directions["u"]] = 1.0
+        values = {"t_hv": 0.5, "u_hv": 1.0, "t_vh": 0.0, "u_vh": 0.0, "t": 0.5}
+        point.update({model.get_var(f"net[ms_in].bend[1].{k}"): v for k, v in values.items()})
+        assert all(rows[name].is_satisfied(point) for name in ("hv", "vh", "sum"))
+        assert not rows["hv_and"].is_satisfied(point)
 
 
 class TestExtraction:

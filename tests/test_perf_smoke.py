@@ -304,6 +304,36 @@ def test_a_cold_phase2_runs_one_search_and_no_fallback(tiny_netlist, monkeypatch
     assert len(searches) == 1 and searches[0]["warm_start"] is None
 
 
+def _bend_and_rows(model):
+    return [c.name for c in model.constraints if c.name.endswith((".hv_and", ".vh_and"))]
+
+
+def test_only_the_exact_model_carries_the_bend_and_rows(tiny_netlist, monkeypatch):
+    """Two AND rows per interior chain point in the exact model, none in a P-ILP phase."""
+    from repro.core import PILPLayoutGenerator, pilp
+    from repro.core.exact import build_exact_model
+
+    exact = build_exact_model(tiny_netlist, PILPConfig.fast())
+    interior_points = sum(len(net.segments) - 1 for net in exact.nets.values())
+    assert len(_bend_and_rows(exact.model)) == 2 * interior_points > 0
+
+    builds = []
+    build = RficModelBuilder.build
+
+    def recording(self):
+        builds.append(build(self))
+        return builds[-1]
+
+    monkeypatch.setattr(RficModelBuilder, "build", recording)
+    # A dirty final DRC makes the flow also build its fallback Phase-2 search
+    # model and a second round of Phase-3 models.
+    monkeypatch.setattr(pilp, "run_drc", _crossing)
+    PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    phases = {result.model.name.split("[")[0] for result in builds}
+    assert phases == {"phase1", "phase2", "phase3"}
+    assert all(_bend_and_rows(result.model) == [] for result in builds)
+
+
 def test_solve_processes_run_blas_on_the_calling_thread():
     """Importing the CLI defaults OpenBLAS to one thread unless one is set."""
     import os
