@@ -7,8 +7,8 @@ Sub-commands
     file and write the resulting layout (JSON + SVG).
 ``batch``
     Run many layout jobs through the :mod:`repro.runner` subsystem:
-    parallel workers, a content-addressed result cache, optional portfolio
-    racing of solver configurations, and parameter-grid sweeps.
+    parallel workers, a content-addressed result cache and parameter-grid
+    sweeps.
 ``table1``
     Regenerate (part of) the paper's Table 1 and print it.
 ``figure11``
@@ -30,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -42,7 +43,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from repro import __version__
 from repro.circuit.loader import load_netlist
 from repro.circuits import circuit_names, get_circuit
-from repro.core.config import PhaseSettings, PILPConfig
+from repro.core.config import PILPConfig
 from repro.core.exact import ExactLayoutGenerator
 from repro.core.pilp import PILPLayoutGenerator
 from repro.baselines.manual_like import ManualLikeFlow
@@ -170,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--timeout", type=float, default=None,
         help="per-job timeout in seconds (needs --workers >= 1)",
-    )
-    batch.add_argument(
-        "--portfolio", action="store_true",
-        help="race solver-configuration variants per job and keep the first "
-        "DRC-clean (or best-scoring) result",
     )
     batch.add_argument("--time-limit", type=float, default=None, help="per-phase solver time limit (s)")
     batch.add_argument("--fast", action="store_true", help="use the fast configuration")
@@ -547,10 +543,10 @@ def _config_from_args(args: argparse.Namespace) -> PILPConfig:
     time_limit = getattr(args, "time_limit", None)
     if time_limit is not None:
         config = config.with_updates(
-            phase1=PhaseSettings(time_limit=time_limit),
-            phase2=PhaseSettings(time_limit=time_limit),
-            phase3=PhaseSettings(time_limit=time_limit),
-            exact=PhaseSettings(time_limit=time_limit),
+            **{
+                name: replace(getattr(config, name), time_limit=time_limit)
+                for name in ("phase1", "phase2", "phase3", "exact")
+            }
         )
     seed = getattr(args, "seed", None)
     if seed is not None:
@@ -652,7 +648,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         LayoutJob,
         SweepSpec,
         generate_sweep,
-        run_portfolio,
     )
 
     if args.workers == 0 and args.timeout is not None:
@@ -708,34 +703,17 @@ def _command_batch(args: argparse.Namespace) -> int:
     )
     print(f"running {len(jobs)} job(s) on {runner.workers} worker(s)...")
 
-    if args.portfolio:
-        races = []
-        skipped = []
-        for index, job in enumerate(jobs):
-            race = run_portfolio(job, runner)
-            races.append(race)
-            if race.winner is None and not args.keep_going:
-                print(f"stopping after broken race {job.describe()!r} (no --keep-going)")
-                skipped = jobs[index + 1 :]
-                break
-        rows = [race.row() for race in races]
-        rows.extend(
-            {"job": job.describe(), "status": "cancelled", "variant": None}
-            for job in skipped
-        )
-        failures = sum(1 for race in races if race.winner is None)
-    else:
-        # Without --keep-going the first failed/timed-out job cancels the
-        # rest of the batch; cancelled jobs are reported but only genuinely
-        # broken ones drive the exit status.
-        stop_when = (
-            None
-            if args.keep_going
-            else (lambda outcome: outcome.status in ("failed", "timeout"))
-        )
-        outcomes = runner.run(jobs, stop_when=stop_when)
-        rows = [outcome.row() for outcome in outcomes]
-        failures = sum(1 for outcome in outcomes if outcome.status in ("failed", "timeout"))
+    # Without --keep-going the first failed/timed-out job cancels the rest
+    # of the batch; cancelled jobs are reported but only genuinely broken
+    # ones drive the exit status.
+    stop_when = (
+        None
+        if args.keep_going
+        else (lambda outcome: outcome.status in ("failed", "timeout"))
+    )
+    outcomes = runner.run(jobs, stop_when=stop_when)
+    rows = [outcome.row() for outcome in outcomes]
+    failures = sum(1 for outcome in outcomes if outcome.status in ("failed", "timeout"))
 
     print()
     print(format_text_table(rows, title="batch results"))

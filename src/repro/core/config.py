@@ -55,6 +55,14 @@ class ObjectiveWeights:
 class PhaseSettings:
     """Per-phase solver settings.
 
+    Every P-ILP phase runs one way: warm-started from the previous phase's
+    geometry (the seed placement for Phase 1), repair first where the phase
+    repairs, and as a progressive HiGHS run that stops itself once a quarter
+    of ``time_limit`` passes without the incumbent improving the objective
+    by at least 1%.  The soft phase models have a structurally weak LP
+    bound (zero), so the gap criterion rarely fires and the stall window is
+    what keeps a phase from burning its whole budget after convergence.
+
     Attributes
     ----------
     time_limit:
@@ -62,47 +70,20 @@ class PhaseSettings:
     mip_gap:
         Relative MIP gap at which the solver may stop (``None`` = the
         backend's default).
-    backend:
-        Solver backend name, resolved by
-        :func:`repro.ilp.backends.get_backend` (``"highs"`` or ``"bnb"``).
-    warm_start:
-        Seed the solve with an incumbent constructed from the previous
-        phase's geometry (or the seed placement for Phase 1).  Warm starts
-        only ever *add* an incumbent; disabling them reproduces the cold
-        behaviour exactly.
-    progressive:
-        Let the solve stop itself once it stalls: one HiGHS run that ends
-        when a quarter of ``time_limit`` passes without the incumbent
-        improving the objective by at least 1%.  The window opens only at
-        the first incumbent.  The soft phase models have a structurally weak
-        LP bound (zero), so the MIP-gap criterion never fires and this stall
-        criterion is what keeps phases from burning their whole budget after
-        convergence.  Disable it to run to the gap or the time limit.  Only
-        honoured by the HiGHS backend.
 
-    A warm-started Phase 1 does not search: it keeps the seed's integer
-    choices and solves the remaining LP once (see :mod:`repro.core.phase1`).
-    Its ``time_limit``, ``mip_gap`` and ``progressive`` therefore apply only
-    to the cold path (``warm_start=False``) and to the MIP fallback that runs
-    when the pinned LP has no optimum.  A warm-started Phase 2 repairs its
-    warm start the same way and Phase 3 starts from that repair (see
-    :mod:`repro.core.phase2`); its ``time_limit``, ``mip_gap`` and
-    ``progressive`` apply only to the cold path, to the MIP fallback of a
-    pinned LP with no optimum, and to the flow's fallback search, which runs
-    when the flow's final layout from the repair fails DRC (see
-    :mod:`repro.core.pilp`).
+    A Phase 1 or Phase 2 that keeps its LP repair does not search (see
+    :mod:`repro.core.phase1` and :mod:`repro.core.phase2`).  Their
+    ``time_limit`` and ``mip_gap`` apply to the MIP search that runs when
+    the pinned LP has no optimum and, for Phase 2, to the flow's fallback
+    search, which runs when the flow's final layout from the repair fails
+    DRC (see :mod:`repro.core.pilp`).
 
-    The exact flow (:mod:`repro.core.exact`) reads only ``time_limit``,
-    ``mip_gap`` and ``backend`` of ``PILPConfig.exact``: it solves its one
-    model cold and to the gap, and ignores ``warm_start`` and
-    ``progressive``.
+    The exact flow (:mod:`repro.core.exact`) solves its one model on HiGHS,
+    cold and to the gap, under ``PILPConfig.exact``.
     """
 
     time_limit: Optional[float] = 120.0
     mip_gap: Optional[float] = 0.02
-    backend: str = "highs"
-    warm_start: bool = True
-    progressive: bool = True
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and self.time_limit <= 0:
@@ -182,11 +163,7 @@ class PILPConfig:
     phase1: PhaseSettings = field(default_factory=lambda: PhaseSettings(time_limit=180.0))
     phase2: PhaseSettings = field(default_factory=lambda: PhaseSettings(time_limit=120.0))
     phase3: PhaseSettings = field(default_factory=lambda: PhaseSettings(time_limit=90.0))
-    exact: PhaseSettings = field(
-        default_factory=lambda: PhaseSettings(
-            time_limit=300.0, warm_start=False, progressive=False
-        )
-    )
+    exact: PhaseSettings = field(default_factory=lambda: PhaseSettings(time_limit=300.0))
     random_seed: int = 2016
 
     def __post_init__(self) -> None:
@@ -230,9 +207,7 @@ class PILPConfig:
             phase1=PhaseSettings(time_limit=20.0, mip_gap=0.05),
             phase2=PhaseSettings(time_limit=20.0, mip_gap=0.05),
             phase3=PhaseSettings(time_limit=15.0, mip_gap=0.05),
-            exact=PhaseSettings(
-                time_limit=30.0, mip_gap=0.02, warm_start=False, progressive=False
-            ),
+            exact=PhaseSettings(time_limit=30.0, mip_gap=0.02),
         )
 
     @staticmethod
@@ -251,7 +226,5 @@ class PILPConfig:
             phase1=PhaseSettings(time_limit=600.0, mip_gap=0.02),
             phase2=PhaseSettings(time_limit=420.0, mip_gap=0.02),
             phase3=PhaseSettings(time_limit=300.0, mip_gap=0.02),
-            exact=PhaseSettings(
-                time_limit=1800.0, mip_gap=0.01, warm_start=False, progressive=False
-            ),
+            exact=PhaseSettings(time_limit=1800.0, mip_gap=0.01),
         )

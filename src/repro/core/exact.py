@@ -77,15 +77,13 @@ class ExactLayoutGenerator:
         model_build_time = time.perf_counter() - start
         settings = self.config.exact
         solution = build.model.solve(
-            backend=settings.backend,
-            time_limit=settings.time_limit,
-            mip_gap=settings.mip_gap,
+            time_limit=settings.time_limit, mip_gap=settings.mip_gap
         )
-        runtime = time.perf_counter() - start
+        solved = time.perf_counter() - start
         if not solution.is_feasible:
             raise InfeasibleModelError(
                 f"exact model for {netlist.name!r} returned {solution.status.value} "
-                f"after {runtime:.1f}s ({build.model.statistics()})"
+                f"after {solved:.1f}s ({build.model.statistics()})"
             )
 
         layout = build.extract_layout(
@@ -94,14 +92,13 @@ class ExactLayoutGenerator:
                 "flow": self.flow_name,
                 "solver_status": solution.status.value,
                 "solver_backend": solution.backend,
-                "runtime_s": runtime,
             },
         )
         phase = PhaseResult(
             phase="exact",
             layout=layout,
             solution=solution,
-            runtime=runtime,
+            runtime=solved,
             length_errors=build.length_errors(solution),
             bend_counts=build.bend_counts(solution),
             total_overlap=0.0,
@@ -112,10 +109,13 @@ class ExactLayoutGenerator:
         metrics = compute_metrics(layout)
         drc_started = time.perf_counter()
         drc = run_drc(layout)
+        drc_done = time.perf_counter()
         timings = {
             "metrics_s": drc_started - metrics_started,
-            "drc_s": time.perf_counter() - drc_started,
+            "drc_s": drc_done - drc_started,
         }
+        runtime = drc_done - start
+        layout.metadata["runtime_s"] = runtime
         return FlowResult(
             flow=self.flow_name,
             circuit=netlist.name,

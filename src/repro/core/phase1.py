@@ -10,20 +10,18 @@ relaxed: unmatched length and residual overlap are penalised in the
 objective (equation (26)) instead of being enforced, which keeps this first,
 globally-unconstrained model solvable.
 
-Deviation from the paper: with warm starts on (the default), Phase 1 does
-not search the ILP.  It keeps the discrete choices of the L-shaped routes
-through the force-directed seed placement, pins every integer column to
-them and solves the remaining LP once
-(:meth:`~repro.ilp.backends.base.SolverBackend.repair`).  Measured at the
-benchmark budgets, the search never beat that repaired seed: on reduced
+Deviation from the paper: Phase 1 does not search the ILP.  It keeps the
+discrete choices of the L-shaped routes through the force-directed seed
+placement, pins every integer column to them and solves the remaining LP
+once (:meth:`~repro.ilp.backends.base.SolverBackend.repair`).  Measured at
+the benchmark budgets, the search never beat that repaired seed: on reduced
 lna94, buffer60 and lna60 the repaired seed (found after 0.02 s) was the
 only incumbent, and each run then spent a 1.25 s stall window on root
 separation (on lna94: 9,550 cuts, 0 nodes, dual bound 0); a 60 s HiGHS run
 on reduced buffer60 and lna94 found nothing better either.  On the service's
 tiny job a sub-MIP lowered the Phase-1 objective from 28 to 0, yet the final
-layout has one bend and is DRC-clean either way.  The paper's search still
-runs when the pinned LP has no optimum, and always with
-``PhaseSettings(warm_start=False)``.
+layout has one bend and is DRC-clean either way.  The paper's search,
+warm-started from the seed, still runs when the pinned LP has no optimum.
 """
 
 from __future__ import annotations
@@ -65,15 +63,12 @@ def run_phase1(
 
     # The force-directed seed placement feeds both the guided windows and
     # the warm start; compute it once.
-    seeds = None
-    if config.guided_phase1 or config.phase1.warm_start:
-        seeds = phase1_seeds(netlist, config)
+    seeds = phase1_seeds(netlist, config)
     build_started = time.perf_counter()
     build = build_phase1_model(netlist, config, seeds)
     model_build_time = time.perf_counter() - build_started
-    settings = config.phase1
-    warm_values = warm_start_from_seeds(build, seeds) if settings.warm_start else None
-    solution = solve_phase_model(build, settings, warm_values, repair=True)
+    warm_values = warm_start_from_seeds(build, seeds)
+    solution = solve_phase_model(build, config.phase1, warm_values, repair=True)
     runtime = time.perf_counter() - start
     if not solution.is_feasible:
         raise InfeasibleModelError(

@@ -12,9 +12,9 @@ and lets the builder prune non-overlap pairs whose windows can never meet.
 Length matching and overlap removal are still handled through the soft
 objective (26); Phase 3 iterates until both are exact.
 
-Deviation from the paper: with warm starts on (the default), Phase 2 does
-not search the ILP.  It completes its warm start by LP — every integer
-column pinned to the legalised Phase-1 geometry, the rest solved once
+Deviation from the paper: Phase 2 does not search the ILP.  It completes
+its warm start by LP — every integer column pinned to the legalised Phase-1
+geometry, the rest solved once
 (:meth:`~repro.ilp.backends.base.SolverBackend.repair`) — and hands that
 repaired layout to Phase 3, as Phase 1 keeps its repaired seed.  The
 paper's warm-started search is the flow's fallback:
@@ -27,8 +27,7 @@ a layout identical to the repair after a 1.25 s stall window, because
 their crossing is one Phase 3 removes and the Phase-2 model cannot.  On
 the five-net test circuit the search is what makes the flow DRC-clean
 (overlap 295 → 0), and there the fallback runs.  The search also runs
-when the pinned LP has no optimum, and always with
-``PhaseSettings(warm_start=False)``.
+when the pinned LP has no optimum.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def run_phase2(
 ) -> PhaseResult:
     """Run Phase 2 starting from a Phase-1 layout snapshot.
 
-    A warm-started Phase 2 returns the LP repair of its warm start
+    Phase 2 returns the LP repair of its warm start
     (``solution.repaired``); ``search=True`` runs the warm-started MIP
     search instead, the flow's fallback.
 
@@ -134,18 +133,14 @@ def _solve(
     build_started = time.perf_counter()
     build = builder.build()
     build_time = time.perf_counter() - build_started
-    settings = config.phase2
-    warm_values = None
-    if settings.warm_start:
-        # Seed from the legalised Phase-1 geometry: device points pushed
-        # apart until their real outlines clear, chain points as routed.
-        warm_values = warm_start_from_geometry(
-            build,
-            relaxed_points,
-            {name: list(points) for name, points in positions.items()},
-        )
-
-    solution = solve_phase_model(build, settings, warm_values, repair=not search)
+    # Seed from the legalised Phase-1 geometry: device points pushed apart
+    # until their real outlines clear, chain points as routed.
+    warm_values = warm_start_from_geometry(
+        build,
+        relaxed_points,
+        {name: list(points) for name, points in positions.items()},
+    )
+    solution = solve_phase_model(build, config.phase2, warm_values, repair=not search)
     if not solution.is_feasible:
         return build, solution, None, build_time
     layout = build.extract_layout(

@@ -229,18 +229,15 @@ def _solve_iteration(
     build_started = time.perf_counter()
     build = builder.build()
     build_time = time.perf_counter() - build_started
-    settings = config.phase3
-    warm_values = None
-    if settings.warm_start:
-        # Seed from the current layout with the planned chain points (which
-        # already reflect this iteration's deletions and insertions).
-        warm_values = warm_start_from_geometry(
-            build,
-            {p.device_name: p.center for p in layout.placements},
-            {name: list(points) for name, points in plan.chain_positions.items()},
-            rotations=fixed_rotations,
-        )
-    return build, solve_phase_model(build, settings, warm_values), build_time
+    # Seed from the current layout with the planned chain points (which
+    # already reflect this iteration's deletions and insertions).
+    warm_values = warm_start_from_geometry(
+        build,
+        {p.device_name: p.center for p in layout.placements},
+        {name: list(points) for name, points in plan.chain_positions.items()},
+        rotations=fixed_rotations,
+    )
+    return build, solve_phase_model(build, config.phase3, warm_values), build_time
 
 
 def run_phase3(

@@ -356,36 +356,29 @@ def warm_start_from_seeds(
 def solve_phase_model(
     build: BuildResult,
     settings,
-    warm_values=None,
+    warm_values,
     repair: bool = False,
 ) -> Solution:
-    """Solve a phase model honouring the phase's warm-start knobs.
+    """Solve a P-ILP phase model from its warm start.
 
-    ``settings`` is a :class:`~repro.core.config.PhaseSettings`; the warm
-    start is only forwarded when enabled there, and the progressive
-    (stall-terminated) solve is requested from the HiGHS backend when
-    configured.
+    ``settings`` is a :class:`~repro.core.config.PhaseSettings`.  The solve
+    is one progressive (stall-terminated) HiGHS run seeded with
+    ``warm_values``.
 
-    ``repair`` makes the phase repair instead of search: with a warm start
-    enabled and given, its LP repair
-    (:meth:`~repro.ilp.backends.base.SolverBackend.repair`) is returned as
-    is, and the MIP search runs only when the pinned LP has no optimum.
+    ``repair`` makes the phase repair instead of search: the LP repair of
+    the warm start (:meth:`~repro.ilp.backends.base.SolverBackend.repair`)
+    is returned as is, and the MIP search runs only when the pinned LP has
+    no optimum.
     """
-    warm = bool(getattr(settings, "warm_start", False) and warm_values)
-    if repair and warm:
-        repaired = get_backend(settings.backend).repair(build.model, warm_values)
+    if repair:
+        repaired = get_backend("highs").repair(build.model, warm_values)
         if repaired is not None:
             return repaired
-    kwargs = {}
-    if warm:
-        kwargs["warm_start"] = warm_values
-    if getattr(settings, "progressive", False) and settings.backend == "highs":
-        kwargs["progressive"] = True
     return build.model.solve(
-        backend=settings.backend,
         time_limit=settings.time_limit,
         mip_gap=settings.mip_gap,
-        **kwargs,
+        warm_start=warm_values,
+        progressive=True,
     )
 
 

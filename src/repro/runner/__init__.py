@@ -3,8 +3,7 @@
 The runner turns single layout runs into reproducible *batches*: jobs with
 canonical content hashes (:mod:`repro.runner.jobs`), a content-addressed
 disk cache of results (:mod:`repro.runner.cache`), a crash-isolated
-multiprocessing pool (:mod:`repro.runner.pool`), portfolio racing of
-solver configurations (:mod:`repro.runner.portfolio`) and parameter-grid
+multiprocessing pool (:mod:`repro.runner.pool`) and parameter-grid
 scenario sweeps (:mod:`repro.runner.sweep`).  The ``rfic-layout batch``
 CLI subcommand and the Table 1 / Figure 11 harnesses are built on it.
 
@@ -49,13 +48,6 @@ from repro.runner.pool import (
     ProgressEvent,
     WorkerPool,
 )
-from repro.runner.portfolio import (
-    PortfolioResult,
-    PortfolioVariant,
-    default_variants,
-    run_portfolio,
-    run_portfolio_batch,
-)
 from repro.runner.sweep import (
     SweepSpec,
     amplifier_spec_for,
@@ -77,11 +69,6 @@ __all__ = [
     "WorkerPool",
     "JobOutcome",
     "ProgressEvent",
-    "PortfolioVariant",
-    "PortfolioResult",
-    "default_variants",
-    "run_portfolio",
-    "run_portfolio_batch",
     "SweepSpec",
     "amplifier_spec_for",
     "generate_sweep",

@@ -325,7 +325,6 @@ class ResultCache:
                     "flow": result.flow,
                     "circuit": result.circuit,
                     "label": job.describe(),
-                    "variant": job.variant,
                     "code_version": code_version_salt(),
                     "runtime_s": result.runtime,
                     "created_unix": time.time(),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro import __version__
@@ -99,9 +99,6 @@ class LayoutJob:
     label:
         Human-readable name used in progress events and reports; not part
         of the hash.
-    variant:
-        Portfolio variant name (metadata only; the config difference that
-        defines a variant is what changes the hash).
     tag:
         Free-form salt that *is* part of the hash.  Lets callers force
         distinct cache entries for otherwise identical jobs.
@@ -117,7 +114,6 @@ class LayoutJob:
     generator: Optional[GeneratorSpec] = None
     config: PILPConfig = field(default_factory=PILPConfig)
     label: Optional[str] = None
-    variant: str = ""
     tag: str = ""
     trace_id: str = ""
 
@@ -177,13 +173,8 @@ class LayoutJob:
         return self.generator.circuit
 
     def describe(self) -> str:
-        """Display label (explicit label or ``circuit:flow``, ``@variant``)."""
-        base = self.label or f"{self.circuit_name}:{self.flow}"
-        return f"{base}@{self.variant}" if self.variant else base
-
-    def with_config(self, config: PILPConfig, variant: str = "") -> "LayoutJob":
-        """A copy of this job running under a different configuration."""
-        return replace(self, config=config, variant=variant or self.variant)
+        """Display label (explicit label or ``circuit:flow``)."""
+        return self.label or f"{self.circuit_name}:{self.flow}"
 
     # ------------------------------------------------------------------ #
     # execution

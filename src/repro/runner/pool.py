@@ -71,7 +71,6 @@ class ProgressEvent:
     kind: str  #: submitted | cached | started | resumed | completed | failed | timeout | cancelled
     job_key: str
     label: str
-    variant: str = ""
     detail: str = ""
     runtime: float = 0.0
 
@@ -292,8 +291,8 @@ class WorkerPool:
 
         ``stop_when`` is evaluated on every settled outcome; once it
         returns True the remaining running jobs are terminated and pending
-        jobs are marked ``"cancelled"`` (this is what portfolio racing
-        uses to cancel the losers).
+        jobs are marked ``"cancelled"`` (this is how ``rfic-layout batch``
+        without ``--keep-going`` cancels the rest after a broken job).
 
         ``progress`` is a per-call callback invoked *in addition to* the
         pool-wide one: the layout service subscribes each dispatched job's
@@ -548,7 +547,6 @@ class WorkerPool:
             kind=kind,
             job_key=job.content_hash[:12],
             label=job.describe(),
-            variant=job.variant,
             detail=detail,
             runtime=runtime,
         )

@@ -12,8 +12,7 @@ suite up to *families* of circuits by driving
   per grid point).
 
 Each grid point becomes one :class:`~repro.runner.jobs.LayoutJob`, so a
-sweep plugs directly into the worker pool, the result cache and portfolio
-racing.
+sweep plugs directly into the worker pool and the result cache.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ as plain JSON documents.  A job document is the *submission* form of a
 with ``"generator": {"circuit": ..., "variant": ..., "area": [w, h],
 "seed": ...}`` as the lazy alternative to an inline ``"netlist"``.  The
 document deliberately carries exactly the fields that participate in the
-PR 3 content hash (plus the cosmetic ``label``/``variant``), so a job that
-round-trips through a document — over HTTP, or through the journal and a
-daemon restart — hashes identically to the original and therefore settles
-against the same cache entry.
+content hash (plus the cosmetic ``label``), so a job that round-trips
+through a document — over HTTP, or through the journal and a daemon
+restart — hashes identically to the original and therefore settles against
+the same cache entry.
 
 A *sweep* document wraps a :class:`~repro.runner.sweep.SweepSpec` grid
 instead and expands server-side into one job document per grid point.
@@ -108,7 +108,6 @@ def job_to_document(job: LayoutJob) -> Dict[str, object]:
         "flow": job.flow,
         "config": config_to_dict(job.config),
         "label": job.label,
-        "variant": job.variant,
         "tag": job.tag,
     }
     if job.generator is not None:
@@ -139,7 +138,6 @@ def job_from_document(document: Mapping[str, object]) -> LayoutJob:
         else None,
         config=config_from_dict(document.get("config")),
         label=document.get("label"),
-        variant=str(document.get("variant", "")),
         tag=str(document.get("tag", "")),
     )
 

@@ -53,6 +53,13 @@ class TestExactFlow:
         assert profile["phases"][0]["model_build_s"] > 0
         assert {"drc_s", "metrics_s"} <= set(profile)
 
+    def test_runtime_covers_extraction_metrics_and_drc(self, exact_tiny_result):
+        """Like the P-ILP flow's, the exact runtime ends after the final DRC."""
+        profile = exact_tiny_result.profile()
+        stages = profile["phases"][0]["wall_s"] + profile["metrics_s"] + profile["drc_s"]
+        assert profile["total_s"] >= stages
+        assert exact_tiny_result.layout.metadata["runtime_s"] == exact_tiny_result.runtime
+
     def test_bend_and_rows_keep_the_optimum(self, session_tiny_netlist):
         """Solved to gap 0, the exact model has the same optimum without its AND rows."""
         config = PILPConfig.fast()

@@ -64,9 +64,6 @@ class TestHashCanonicalisation:
         [
             {"time_limit": 33.0},
             {"mip_gap": 0.011},
-            {"backend": "branch-and-bound"},
-            {"warm_start": False},
-            {"progressive": False},
         ],
     )
     def test_any_phase_settings_knob_changes_hash(self, knob):
@@ -101,12 +98,9 @@ class TestHashCanonicalisation:
         fast = job_for(netlist, flow="manual", config=PILPConfig.fast())
         assert default.content_hash == fast.content_hash
 
-    def test_label_and_variant_do_not_change_hash(self):
+    def test_label_does_not_change_hash(self):
         netlist = build_tiny_netlist()
-        assert (
-            job_for(netlist).content_hash
-            == job_for(netlist, label="x", variant="v").content_hash
-        )
+        assert job_for(netlist).content_hash == job_for(netlist, label="x").content_hash
 
 
 class TestGeneratorSpec:
@@ -146,10 +140,6 @@ class TestValidationAndHelpers:
         with pytest.raises(ConfigurationError):
             LayoutJob(flow="magic", netlist=build_tiny_netlist())
 
-    def test_describe_and_with_config(self):
-        job = job_for(build_tiny_netlist())
-        assert job.describe() == "tiny:pilp"
-        variant = job.with_config(PILPConfig.fast(), variant="cold")
-        assert variant.describe() == "tiny:pilp@cold"
-        assert variant.content_hash != job.content_hash
+    def test_describe(self):
+        assert job_for(build_tiny_netlist()).describe() == "tiny:pilp"
         assert job_for(build_tiny_netlist(), label="my-label").describe() == "my-label"

@@ -32,14 +32,22 @@ class TestConfigRoundTrip:
 
     def test_customised_config_survives_json(self):
         config = PILPConfig.fast().with_updates(
-            random_seed=7, phase1=PhaseSettings(time_limit=3.0, warm_start=False)
+            random_seed=7, phase1=PhaseSettings(time_limit=3.0, mip_gap=0.3)
         )
         document = json.loads(json.dumps(config_to_dict(config)))
         assert config_from_dict(document) == config
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigurationError):
-            config_from_dict({"frobnicate": 1})
+        documents = [
+            {"frobnicate": 1},
+            # Phase fields an older client may still send: refused, not hashed.
+            {"phase1": {"warm_start": False}},
+            {"exact": {"backend": "bnb"}},
+            {"phase3": {"progressive": True}},
+        ]
+        for document in documents:
+            with pytest.raises(ConfigurationError):
+                config_from_dict(document)
 
 
 class TestJobRoundTrip:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.circuit import save_netlist
-from repro.cli import build_parser, main
+from repro.cli import _config_from_args, build_parser, main
+from repro.core.config import PILPConfig
 from tests.conftest import build_tiny_netlist
 
 
@@ -28,6 +29,14 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["generate", "x.json", "--flow", "magic"])
+
+    def test_time_limit_keeps_each_phase_gap(self):
+        args = build_parser().parse_args(["generate", "x.json", "--fast", "--time-limit", "7"])
+        config = _config_from_args(args)
+        fast = PILPConfig.fast()
+        for name in ("phase1", "phase2", "phase3", "exact"):
+            assert getattr(config, name).time_limit == 7.0
+            assert getattr(config, name).mip_gap == getattr(fast, name).mip_gap
 
 
 class TestServiceCommands:
@@ -181,6 +190,10 @@ class TestBatchCommand:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["batch", "--flow", "magic"])
+
+    def test_batch_has_no_portfolio_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "--portfolio"])
 
     def test_unknown_circuit_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -31,14 +31,15 @@ def _build(netlist):
 
 
 def _count_highs_solves(monkeypatch):
+    """Record the model name and keyword arguments of every HiGHS solve."""
     from repro.ilp.backends.highs import HighsBackend
 
     solves = []
     original = HighsBackend.solve
 
-    def counting(self, *args, **kwargs):
-        solves.append(kwargs)
-        return original(self, *args, **kwargs)
+    def counting(self, model, *args, **kwargs):
+        solves.append({"model": model.name, **kwargs})
+        return original(self, model, *args, **kwargs)
 
     monkeypatch.setattr(HighsBackend, "solve", counting)
     return solves
@@ -159,26 +160,31 @@ def test_highs_binding_is_loaded_before_workers_fork():
     assert result.stdout.strip() == "True"
 
 
-@pytest.mark.parametrize("warm_start, mip_solves", [(True, 0), (False, 1)])
-def test_phase1_repairs_its_seed_without_a_mip_search(
-    tiny_netlist, monkeypatch, warm_start, mip_solves
-):
-    """A seeded Phase 1 is one pinned LP; only a cold one runs HiGHS's MIP."""
-    from dataclasses import replace
-
+def test_phase1_repairs_its_seed_without_a_mip_search(tiny_netlist, monkeypatch):
+    """Phase 1 is one pinned LP; it runs no MIP search."""
     from repro.core.phase1 import run_phase1
     from repro.ilp.solution import SolveStatus
 
     solves = _count_highs_solves(monkeypatch)
+    result = run_phase1(tiny_netlist, PILPConfig.fast())
+    assert solves == []
+    assert result.solution.status is SolveStatus.FEASIBLE
+
+
+def test_a_failed_repair_runs_one_warm_started_search_per_phase(tiny_netlist, monkeypatch):
+    """A pinned LP with no optimum is what makes Phase 1 or Phase 2 search."""
+    from repro.core.phase1 import run_phase1
+    from repro.core.phase2 import run_phase2
+    from repro.ilp.backends.base import SolverBackend
+
+    monkeypatch.setattr(SolverBackend, "repair", lambda self, model, warm_start: None)
+    solves = _count_highs_solves(monkeypatch)
     config = PILPConfig.fast()
-    config = config.with_updates(phase1=replace(config.phase1, warm_start=warm_start))
-    result = run_phase1(tiny_netlist, config)
-    assert len(solves) == mip_solves
-    if warm_start:
-        assert result.solution.status is SolveStatus.FEASIBLE
-    else:
-        assert solves[0]["warm_start"] is None
-        assert result.solution.is_feasible
+    phase1 = run_phase1(tiny_netlist, config)
+    phase2 = run_phase2(tiny_netlist, phase1.layout, config)
+    assert [solve["model"].split("[")[0] for solve in solves] == ["phase1", "phase2"]
+    assert all(solve["warm_start"] is not None for solve in solves)
+    assert not phase1.solution.repaired and not phase2.solution.repaired
 
 
 def test_seeded_phase2_keeps_its_drc_clean_repair(tiny_netlist, monkeypatch):
@@ -291,17 +297,15 @@ def test_a_search_that_returns_the_repair_runs_no_second_phase3_round(
     assert len(rounds) == 1
 
 
-def test_a_cold_phase2_runs_one_search_and_no_fallback(tiny_netlist, monkeypatch):
-    from dataclasses import replace
-
+def test_every_mip_search_of_the_flow_is_warm_started(tiny_netlist, monkeypatch):
+    """No HiGHS MIP solve of the flow starts cold, the fallback round included."""
     from repro.core import PILPLayoutGenerator, pilp
 
     monkeypatch.setattr(pilp, "run_drc", _crossing)
-    searches = _phase2_searches(monkeypatch)
-    config = PILPConfig.fast()
-    cold = config.with_updates(phase2=replace(config.phase2, warm_start=False))
-    PILPLayoutGenerator(cold).generate(tiny_netlist)
-    assert len(searches) == 1 and searches[0]["warm_start"] is None
+    solves = _count_highs_solves(monkeypatch)
+    PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    assert any(solve["model"].startswith("phase2[") for solve in solves)
+    assert all(solve["warm_start"] is not None for solve in solves)
 
 
 def _bend_and_rows(model):
