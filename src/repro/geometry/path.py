@@ -137,36 +137,19 @@ class ManhattanPath:
         Mirrors the chain-point deletion step of Phase 3: consecutive
         collinear segments are merged and coincident points are dropped.  End
         points are always preserved.
+
+        A point is dropped only when joining its neighbours directly keeps
+        the geometric length (within ``_MERGE_SLACK``) and the run of
+        non-degenerate directions, so the bend count is unchanged.  Comparing
+        against the kept neighbour rather than a tolerance ball keeps chains
+        of sub-tolerance steps from adding up to a length or bend change.
         """
-        pts: List[Point] = [self.points[0]]
-        for point in self.points[1:-1]:
-            if point.is_close(pts[-1]):
+        result: List[Point] = [self.points[0]]
+        for here, after in zip(self.points[1:-1], self.points[2:]):
+            if _merge_is_neutral(result[-1], here, after):
                 continue
-            pts.append(point)
-        if not self.points[-1].is_close(pts[-1]) or len(pts) == 1:
-            pts.append(self.points[-1])
-
-        if len(pts) <= 2:
-            return ManhattanPath(pts if len(pts) == 2 else [pts[0], self.points[-1]], self.width)
-
-        # Drop interior points where incoming and outgoing directions match.
-        result: List[Point] = [pts[0]]
-        for index in range(1, len(pts) - 1):
-            before = result[-1]
-            here = pts[index]
-            after = pts[index + 1]
-            axis_in = collinear_axis(before, here)
-            axis_out = collinear_axis(here, after)
-            if axis_in == axis_out:
-                # Same axis: only keep the point if the path reverses on it.
-                going_in = Segment(before, here).direction
-                going_out = Segment(here, after).direction
-                if going_in == going_out or going_in == "." or going_out == ".":
-                    continue
             result.append(here)
-        result.append(pts[-1])
-        if len(result) < 2:
-            result = [pts[0], pts[-1]]
+        result.append(self.points[-1])
         return ManhattanPath(result, self.width)
 
     def with_point_inserted(self, index: int, point: Point) -> "ManhattanPath":
@@ -212,6 +195,26 @@ class ManhattanPath:
             vertices.append(after)
         vertices.append(segments[-1].end)
         return vertices
+
+
+# Largest length change one dropped chain point may cause in ``simplified``:
+# float rounding of a straight merge, far below ``GEOM_TOL``.
+_MERGE_SLACK = 1.0e-9
+
+
+def _merge_is_neutral(before: Point, here: Point, after: Point) -> bool:
+    """True if ``before -> after`` has the length and bends of ``before -> here -> after``."""
+    if collinear_axis(before, after) is None:
+        return False
+    detour = before.manhattan_distance(here) + here.manhattan_distance(after)
+    if detour - before.manhattan_distance(after) > _MERGE_SLACK:
+        return False
+    runs = []
+    for direction in (Segment(before, here).direction, Segment(here, after).direction):
+        if direction != "." and direction not in runs[-1:]:
+            runs.append(direction)
+    merged = Segment(before, after).direction
+    return runs == ([] if merged == "." else [merged])
 
 
 def _step_back(segment: Segment, distance: float) -> Point:

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.geometry import ManhattanPath, Point, Rect, Segment, serpentine_path
 from repro.geometry.overlap import overlap_extents
@@ -104,6 +104,23 @@ class TestPathProperties:
         assert 0 <= path.bend_count <= max(0, len(path.segments(drop_degenerate=True)) - 1)
 
     @given(manhattan_paths())
+    # Chains of sub-tolerance steps: dropping each step against a tolerance
+    # ball used to add a bend or lose more than the tolerance in length.
+    @example(
+        ManhattanPath(
+            [Point(0.0, 0.0), Point(0.0, 1.0), Point(5.83e-7, 1.0), Point(1.166e-6, 1.0)]
+        )
+    )
+    @example(
+        ManhattanPath(
+            [
+                Point(0.0, 0.0),
+                Point(0.0, 1.0),
+                Point(0.0, 1.000000583),
+                Point(5.83e-7, 1.000000583),
+            ]
+        )
+    )
     def test_simplification_preserves_length_and_bends(self, path):
         simplified = path.simplified()
         assert math.isclose(
