@@ -12,16 +12,19 @@ globally-unconstrained model solvable.
 
 Deviation from the paper: Phase 1 does not search the ILP.  It keeps the
 discrete choices of the L-shaped routes through the force-directed seed
-placement, pins every integer column to them and solves the remaining LP
-once (:meth:`~repro.ilp.backends.base.SolverBackend.repair`).  Measured at
-the benchmark budgets, the search never beat that repaired seed: on reduced
-lna94, buffer60 and lna60 the repaired seed (found after 0.02 s) was the
-only incumbent, and each run then spent a 1.25 s stall window on root
-separation (on lna94: 9,550 cuts, 0 nodes, dual bound 0); a 60 s HiGHS run
-on reduced buffer60 and lna94 found nothing better either.  On the service's
-tiny job a sub-MIP lowered the Phase-1 objective from 28 to 0, yet the final
-layout has one bend and is DRC-clean either way.  The paper's search,
-warm-started from the seed, still runs when the pinned LP has no optimum.
+placement, each turning the way :func:`~repro.core.seed.choose_l_orientations`
+chose so that as few net pairs cross as its search finds (none on the
+reduced benchmark circuits), pins every integer column to them and solves
+the remaining LP once (:meth:`~repro.ilp.backends.base.SolverBackend.repair`).
+Measured at the benchmark budgets, the search never beat that repaired seed:
+on reduced lna94, buffer60 and lna60 the repaired seed (found after 0.02 s)
+was the only incumbent, and each run then spent a 1.25 s stall window on
+root separation (on lna94: 9,550 cuts, 0 nodes, dual bound 0); a 60 s HiGHS
+run on reduced buffer60 and lna94 found nothing better either.  On the
+service's tiny job a sub-MIP lowered the Phase-1 objective from 28 to 0, yet
+the final layout has one bend and is DRC-clean either way.  The paper's
+search, warm-started from the seed, still runs when the pinned LP has no
+optimum.
 """
 
 from __future__ import annotations

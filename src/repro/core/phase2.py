@@ -24,7 +24,9 @@ benchmark budgets, the search found nothing Phase 3 needed on the service's
 tiny job and on reduced lna94, buffer60 and lna60: the repairs of the
 first two were already DRC-clean, and on the last two the search returned
 a layout identical to the repair after a 1.25 s stall window, because
-their crossing is one Phase 3 removes and the Phase-2 model cannot.  On
+their crossing is one Phase 3 removes and the Phase-2 model cannot.  That
+crossing came from the Phase-1 seed; with each net's L orientation chosen
+(:func:`~repro.core.seed.choose_l_orientations`) their repairs have none.  On
 the five-net test circuit the search is what makes the flow DRC-clean
 (overlap 295 → 0), and there the fallback runs.  The search also runs
 when the pinned LP has no optimum.

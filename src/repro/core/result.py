@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.ilp.solution import Solution
-from repro.layout.drc import DRCReport
+from repro.layout.drc import DRCReport, crossing_violations
 from repro.layout.layout import Layout
 from repro.layout.metrics import LayoutMetrics
 
@@ -84,7 +84,11 @@ class PhaseResult:
         )
 
     def summary(self) -> Dict[str, object]:
-        """Compact dictionary for logs and reports."""
+        """Compact dictionary for logs and reports.
+
+        ``crossings`` counts the net pairs whose routes cross in this
+        phase's layout, by the design-rule checker's crossing check.
+        """
         return {
             "phase": self.phase,
             "status": self.solution.status.value,
@@ -96,6 +100,7 @@ class PhaseResult:
             "max_bends": self.max_bends,
             "max_abs_length_error_um": round(self.max_abs_length_error, 3),
             "total_overlap_um": round(self.total_overlap, 3),
+            "crossings": len(crossing_violations(self.layout)),
         }
 
     def profile_entry(self) -> Dict[str, object]:

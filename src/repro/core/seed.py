@@ -11,16 +11,30 @@ places devices and routes microstrips *concurrently*; the corridors only
 bound how far the concurrent optimisation may wander, exactly like the τ_d
 windows the paper itself uses from Phase 2 onwards.  The deviation is
 documented in DESIGN.md.
+
+The seed also fixes how Phase 1 starts routing: every net becomes an
+L-shaped route between its two terminals' seed points, and
+:func:`choose_l_orientations` picks for each net whether the L runs
+horizontal-first or vertical-first so that as few net pairs cross as it
+can find.  Phase 1 is planar routing (Section 5.1) and keeps the discrete
+choices of this warm start, so these orientations decide whether it starts
+without crossings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from itertools import combinations
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.circuit.netlist import Netlist
-from repro.geometry.point import Point
+from repro.geometry.point import GEOM_TOL, Point
+from repro.geometry.segment import Segment
+
+#: ``table[(i, j)][vertical_i][vertical_j]``: whether the L routes of nets
+#: ``i < j`` cross when each runs vertical-first or not.
+CrossingTable = Dict[Tuple[int, int], Tuple[Tuple[bool, bool], Tuple[bool, bool]]]
 
 
 def seed_placement(netlist: Netlist, seed: int = 2016) -> Dict[str, Point]:
@@ -230,3 +244,134 @@ def spread_boundary_pads(
             else:
                 adjusted[pad.name] = Point(old.x, coordinate)
     return adjusted
+
+
+def l_corner(start: Point, end: Point, vertical_first: bool = False) -> Point:
+    """The corner of the L-shaped route from ``start`` to ``end``."""
+    return Point(start.x, end.y) if vertical_first else Point(end.x, start.y)
+
+
+def choose_l_orientations(
+    netlist: Netlist, seeds: Mapping[str, Point]
+) -> Dict[str, bool]:
+    """Choose each net's L orientation so the fewest net pairs cross.
+
+    Returns ``True`` for every net whose L route between its terminals'
+    seed points runs vertical-first.  The search starts from all
+    horizontal-first and sweeps the nets in netlist order, first flipping
+    single nets and, when no single flip helps, pairs of nets whose routes
+    can cross each other.  A move is kept only if it strictly lowers the
+    number of crossing pairs, and the search stops when no move does; a
+    seed that no move improves therefore stays all horizontal-first.
+    Crossings are counted with :meth:`Segment.crosses`, the design-rule
+    checker's predicate, so two routes that leave a shared device along the
+    same line count as crossing.  Nets with a terminal missing from
+    ``seeds`` stay horizontal-first.
+    """
+    names, terminals = _seeded_terminals(netlist, seeds)
+    table = _crossing_table(terminals)
+    partners: List[List[int]] = [[] for _ in names]
+    for first, second in table:
+        partners[first].append(second)
+        partners[second].append(first)
+    vertical = [False] * len(names)
+
+    def touching(moved: Sequence[int]) -> int:
+        pairs = {
+            (min(net, other), max(net, other))
+            for net in moved
+            for other in partners[net]
+        }
+        return sum(
+            table[pair][vertical[pair[0]]][vertical[pair[1]]] for pair in pairs
+        )
+
+    def improves(moved: Sequence[int]) -> bool:
+        before = touching(moved)
+        for net in moved:
+            vertical[net] = not vertical[net]
+        if touching(moved) < before:
+            return True
+        for net in moved:
+            vertical[net] = not vertical[net]
+        return False
+
+    while True:
+        moved = [improves((net,)) for net in range(len(names))]
+        if not any(moved):
+            moved = [improves(pair) for pair in sorted(table)]
+        if not any(moved):
+            break
+    return dict(zip(names, vertical))
+
+
+def seed_crossings(
+    netlist: Netlist,
+    seeds: Mapping[str, Point],
+    vertical_first: Optional[Mapping[str, bool]] = None,
+) -> int:
+    """Number of net pairs whose L routes cross (all horizontal-first by default)."""
+    vertical_first = vertical_first or {}
+    names, terminals = _seeded_terminals(netlist, seeds)
+    vertical = [vertical_first.get(name, False) for name in names]
+    return sum(
+        crossing[vertical[first]][vertical[second]]
+        for (first, second), crossing in _crossing_table(terminals).items()
+    )
+
+
+def _seeded_terminals(
+    netlist: Netlist, seeds: Mapping[str, Point]
+) -> Tuple[List[str], List[Tuple[Point, Point]]]:
+    """Names and terminal seed points of the nets whose terminals are seeded."""
+    names: List[str] = []
+    terminals: List[Tuple[Point, Point]] = []
+    for net in netlist.microstrips:
+        start, end = seeds.get(net.start.device), seeds.get(net.end.device)
+        if start is not None and end is not None:
+            names.append(net.name)
+            terminals.append((start, end))
+    return names, terminals
+
+
+def _crossing_table(terminals: Sequence[Tuple[Point, Point]]) -> CrossingTable:
+    """Crossings of every orientation pair, for the pairs that can cross at all.
+
+    Both L routes of a net stay inside the box its terminals span, so pairs
+    with disjoint boxes never cross and are left out.
+    """
+    routes = [
+        [
+            (Segment(start, corner), Segment(corner, end))
+            for corner in (l_corner(start, end, False), l_corner(start, end, True))
+        ]
+        for start, end in terminals
+    ]
+    table: CrossingTable = {}
+    for first, second in combinations(range(len(terminals)), 2):
+        if not _boxes_touch(terminals[first], terminals[second]):
+            continue
+        crossing = tuple(
+            tuple(
+                any(
+                    a.crosses(b)
+                    for a in routes[first][v_first]
+                    for b in routes[second][v_second]
+                )
+                for v_second in (False, True)
+            )
+            for v_first in (False, True)
+        )
+        if any(any(row) for row in crossing):
+            table[(first, second)] = crossing
+    return table
+
+
+def _boxes_touch(first: Tuple[Point, Point], second: Tuple[Point, Point]) -> bool:
+    (a, b), (c, d) = first, second
+    return (
+        min(a.x, b.x) <= max(c.x, d.x) + GEOM_TOL
+        and min(c.x, d.x) <= max(a.x, b.x) + GEOM_TOL
+        and min(a.y, b.y) <= max(c.y, d.y) + GEOM_TOL
+        and min(c.y, d.y) <= max(a.y, b.y) + GEOM_TOL
+    )

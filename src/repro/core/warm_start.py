@@ -33,6 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.circuit.device import Rotation
 from repro.core.model_builder import BuildResult, NetVars, SegmentVars
+from repro.core.seed import choose_l_orientations, l_corner
 from repro.geometry.point import Point
 from repro.ilp.backends import get_backend
 from repro.ilp.expr import LinExpr, Variable
@@ -82,9 +83,11 @@ def _resample_polyline(points: Sequence[Point], count: int) -> List[Point]:
     return samples
 
 
-def manhattan_guess(start: Point, end: Point, count: int) -> List[Point]:
-    """A horizontal-then-vertical L-shaped chain guess between two points."""
-    corner = Point(end.x, start.y)
+def manhattan_guess(
+    start: Point, end: Point, count: int, vertical_first: bool = False
+) -> List[Point]:
+    """An L-shaped chain guess between two points (horizontal-first by default)."""
+    corner = l_corner(start, end, vertical_first)
     return _resample_polyline([start, corner, end], count)
 
 
@@ -337,11 +340,13 @@ def warm_start_from_seeds(
 ) -> Dict[Variable, float]:
     """Warm start the Phase-1 model from a seed placement.
 
-    Every net gets an L-shaped (horizontal-then-vertical) chain guess
-    between its two terminal seed points — exactly the kind of rough but
-    structurally valid routing the Phase-1 heuristics would otherwise spend
-    their first seconds rediscovering.
+    Every net gets an L-shaped chain guess between its two terminal seed
+    points, turning at the corner :func:`~repro.core.seed.choose_l_orientations`
+    picked so that as few net pairs cross as it can find.  Phase 1 repairs
+    this guess without changing its discrete choices, so a crossing left in
+    it stays in the planar routing.
     """
+    vertical_first = choose_l_orientations(build.netlist, seeds)
     chain_points: Dict[str, List[Point]] = {}
     for name, net_vars in build.nets.items():
         net = build.netlist.microstrip(name)
@@ -349,7 +354,9 @@ def warm_start_from_seeds(
         end = seeds.get(net.end.device)
         if start is None or end is None:
             continue
-        chain_points[name] = manhattan_guess(start, end, len(net_vars.xs))
+        chain_points[name] = manhattan_guess(
+            start, end, len(net_vars.xs), vertical_first[name]
+        )
     return warm_start_from_geometry(build, dict(seeds), chain_points)
 
 

@@ -132,7 +132,7 @@ class DesignRuleChecker:
         if self.check_spacing:
             violations.extend(self._check_spacing(layout))
         if self.check_crossings:
-            violations.extend(self._check_crossings(layout))
+            violations.extend(crossing_violations(layout))
         if self.check_lengths:
             violations.extend(self._check_lengths(layout))
         return DRCReport(violations)
@@ -314,27 +314,6 @@ class DesignRuleChecker:
                 )
         return violations
 
-    def _check_crossings(self, layout: Layout) -> List[DRCViolation]:
-        violations = []
-        routes = layout.routes
-        for route_a, route_b in combinations(routes, 2):
-            for segment_a in route_a.segments():
-                for segment_b in route_b.segments():
-                    if segment_a.crosses(segment_b):
-                        violations.append(
-                            DRCViolation(
-                                ViolationKind.CROSSING,
-                                route_a.net_name,
-                                other=route_b.net_name,
-                                message="microstrip centre-lines cross",
-                            )
-                        )
-                        break
-                else:
-                    continue
-                break
-        return violations
-
     def _check_lengths(self, layout: Layout) -> List[DRCViolation]:
         violations = []
         delta = layout.netlist.technology.bend_compensation
@@ -394,6 +373,26 @@ class DesignRuleChecker:
             for net_a, net_b in combinations(nets, 2):
                 joined.add(frozenset((f"net:{net_a}", f"net:{net_b}")))
         return joined
+
+
+def crossing_violations(layout: Layout) -> List[DRCViolation]:
+    """One violation per pair of microstrips whose centre-lines cross."""
+    violations = []
+    for route_a, route_b in combinations(layout.routes, 2):
+        if any(
+            segment_a.crosses(segment_b)
+            for segment_a in route_a.segments()
+            for segment_b in route_b.segments()
+        ):
+            violations.append(
+                DRCViolation(
+                    ViolationKind.CROSSING,
+                    route_a.net_name,
+                    other=route_b.net_name,
+                    message="microstrip centre-lines cross",
+                )
+            )
+    return violations
 
 
 def run_drc(layout: Layout, **kwargs) -> DRCReport:

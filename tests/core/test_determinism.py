@@ -1,8 +1,9 @@
 """Hash ⇒ output: the same job settles to the same layout, run after run.
 
 Every phase of these jobs is an LP repair or a solve HiGHS proves optimal,
-so no wall-clock limit decides the result.  Reduced buffer60 and lna60
-still refine on the clock in Phase 3, but their Phase 2 is an LP repair.
+so no wall-clock limit decides the result.  The reduced circuits owe that
+to their crossing-free Phase-1 seeds: Phase 3 starts from a planar layout
+and each of its searches ends optimal.
 """
 
 import pytest
@@ -35,9 +36,10 @@ def _benchmark_config():
     )
 
 
-def test_reduced_lna94_settles_to_one_layout():
+@pytest.mark.parametrize("circuit", ["lna94", "buffer60", "lna60"])
+def test_reduced_circuit_settles_to_one_layout(circuit):
     config = _benchmark_config()
-    netlist = get_circuit("lna94", "reduced").netlist
+    netlist = get_circuit(circuit, "reduced").netlist
     first, second = (PILPLayoutGenerator(config).generate(netlist) for _ in range(2))
     assert first.is_clean
     assert _without_runtime(layout_to_dict(first.layout)) == _without_runtime(
@@ -47,7 +49,7 @@ def test_reduced_lna94_settles_to_one_layout():
 
 @pytest.mark.parametrize("circuit", ["buffer60", "lna60"])
 def test_reduced_phase2_is_its_lp_repair_run_after_run(circuit):
-    """Their repaired Phase-2 layouts have a crossing; Phase 2 keeps them anyway."""
+    """Phase 2 keeps its LP repair of the Phase-1 layout, the same in every run."""
     config = _benchmark_config()
     netlist = get_circuit(circuit, "reduced").netlist
     runs = [

@@ -108,6 +108,10 @@ class TestProgressiveFlow:
         rows = pilp_small_result.phase_table()
         assert len(rows) == len(pilp_small_result.phases)
         assert all("status" in row for row in rows)
+        assert [row["crossings"] for row in rows] == [
+            run_drc(phase.layout).count(ViolationKind.CROSSING)
+            for phase in pilp_small_result.phases
+        ]
 
     def test_runtime_accounts_for_phases(self, pilp_small_result):
         phase_total = sum(phase.runtime for phase in pilp_small_result.phases)

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.result import FlowResult, PhaseResult
 from repro.ilp.solution import Solution, SolveStatus
-from repro.layout import Layout, compute_metrics, run_drc
+from repro.geometry import ManhattanPath, Point
+from repro.layout import Layout, RoutedMicrostrip, compute_metrics, run_drc
+from repro.layout.drc import ViolationKind
 
 
 def make_phase(layout, name="phase1", runtime=1.5):
@@ -36,6 +38,23 @@ class TestPhaseResult:
         assert summary["status"] == "feasible"
         assert summary["total_bends"] == 3
         assert summary["runtime_s"] == pytest.approx(1.5)
+
+    def test_summary_counts_crossing_net_pairs(self, hand_layout):
+        assert make_phase(hand_layout).summary()["crossings"] == 0
+        drain = hand_layout.pin_position("M1", "D")
+        pad_out = hand_layout.pin_position("P_OUT", "SIG")
+        # Loop back over ms_in and cross it at x = 100 on the way to the pad.
+        detour = [
+            drain,
+            Point(drain.x, 250.0),
+            Point(100.0, 250.0),
+            Point(100.0, 100.0),
+            Point(pad_out.x, 100.0),
+            pad_out,
+        ]
+        hand_layout.set_route(RoutedMicrostrip("ms_out", ManhattanPath(detour, width=10.0)))
+        assert make_phase(hand_layout).summary()["crossings"] == 1
+        assert run_drc(hand_layout).count(ViolationKind.CROSSING) == 1
 
     def test_empty_diagnostics(self, hand_layout):
         phase = PhaseResult(

@@ -36,6 +36,14 @@ def test_manhattan_guess_stays_on_l_path():
         assert point.y == pytest.approx(0.0) or point.x == pytest.approx(100.0)
 
 
+def test_manhattan_guess_turns_vertical_first_when_asked():
+    points = manhattan_guess(Point(0.0, 0.0), Point(100.0, 60.0), 5, vertical_first=True)
+    assert points[0] == Point(0.0, 0.0)
+    assert points[-1] == Point(100.0, 60.0)
+    for point in points:
+        assert point.x == pytest.approx(0.0) or point.y == pytest.approx(60.0)
+
+
 def test_warm_start_values_respect_bounds_and_choices(phase1_like_build):
     build = phase1_like_build
     seeds = {

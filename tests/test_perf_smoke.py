@@ -308,6 +308,37 @@ def test_every_mip_search_of_the_flow_is_warm_started(tiny_netlist, monkeypatch)
     assert all(solve["warm_start"] is not None for solve in solves)
 
 
+@pytest.mark.parametrize("circuit", ["buffer60", "lna60"])
+def test_reduced_circuits_start_planar_and_refine_to_optimality(circuit, monkeypatch):
+    """A crossing-free seed leaves Phase 3 nothing to untangle.
+
+    All horizontal-first, each seed has two crossing net pairs; the chosen
+    orientations have none.  At the benchmark budget the flow then runs no
+    Phase-2 search and every Phase-3 search ends optimal, so no stall
+    window or time limit decides the layout.
+    """
+    from repro.circuits import get_circuit
+    from repro.core import PILPLayoutGenerator
+    from repro.core.phase1 import phase1_seeds
+    from repro.core.seed import choose_l_orientations, seed_crossings
+    from repro.ilp.solution import SolveStatus
+    from tests.core.test_determinism import _benchmark_config
+
+    config = _benchmark_config()
+    netlist = get_circuit(circuit, "reduced").netlist
+    seeds = phase1_seeds(netlist, config)
+    assert seed_crossings(netlist, seeds) == 2
+    assert seed_crossings(netlist, seeds, choose_l_orientations(netlist, seeds)) == 0
+
+    searches = _phase2_searches(monkeypatch)
+    result = PILPLayoutGenerator(config).generate(netlist)
+    assert result.is_clean
+    assert searches == []
+    refinements = [phase for phase in result.phases if phase.phase.startswith("phase3")]
+    assert refinements
+    assert all(phase.solution.status is SolveStatus.OPTIMAL for phase in refinements)
+
+
 def _bend_and_rows(model):
     return [c.name for c in model.constraints if c.name.endswith((".hv_and", ".vh_and"))]
 
