@@ -112,14 +112,11 @@ class PILPConfig:
         The (smaller) τ_d window of the Phase-3 iterations; the topology is
         already fixed, so refinement only needs local freedom and a small
         window keeps the per-iteration models easy.
-    guided_phase1:
-        When True (default), Phase 1 is confined to generous corridors around
-        a cheap force-directed seed placement (see :mod:`repro.core.seed`).
-        Setting it to False reproduces the paper's fully unconfined Phase-1
-        model, which needs far longer solver budgets.
     phase1_window:
-        Half-size (µm) of the Phase-1 corridors around the seed placement
-        (only used when ``guided_phase1`` is True).
+        Half-size (µm) of the Phase-1 corridors around the force-directed
+        seed placement (see :mod:`repro.core.seed`).  Phase 1 is always
+        confined to them; the paper's unconfined Phase-1 model needs far
+        longer solver budgets.
     blur_margin_factor:
         Phase 1 reserves space for blurred devices by expanding segment
         bounding boxes by ``blur_margin_factor x (mean device half dimension)``
@@ -133,12 +130,6 @@ class PILPConfig:
         Maximum number of Phase 3 iterations.
     length_tolerance:
         Equivalent-length error (µm) below which a net counts as matched.
-    overlap_tolerance:
-        Residual bounding-box overlap (µm) below which a pair counts as clear.
-    same_net_spacing:
-        Whether to also enforce spacing between non-adjacent segments of the
-        same microstrip (increases model size; the benchmark circuits do not
-        need it because nets are short relative to the spacing rule).
     phase1, phase2, phase3:
         Per-phase solver settings.
     exact:
@@ -152,14 +143,11 @@ class PILPConfig:
     max_chain_points: int = 9
     confinement_window: float = 120.0
     refinement_window: float = 45.0
-    guided_phase1: bool = True
     phase1_window: float = 220.0
     blur_margin_factor: float = 0.35
     blur_length_factor: float = 0.5
     max_refinement_iterations: int = 4
     length_tolerance: float = 0.5
-    overlap_tolerance: float = 0.5
-    same_net_spacing: bool = False
     phase1: PhaseSettings = field(default_factory=lambda: PhaseSettings(time_limit=180.0))
     phase2: PhaseSettings = field(default_factory=lambda: PhaseSettings(time_limit=120.0))
     phase3: PhaseSettings = field(default_factory=lambda: PhaseSettings(time_limit=90.0))
@@ -183,8 +171,8 @@ class PILPConfig:
             raise ConfigurationError("blur factors must be non-negative")
         if self.max_refinement_iterations < 0:
             raise ConfigurationError("max_refinement_iterations must be non-negative")
-        if self.length_tolerance <= 0 or self.overlap_tolerance <= 0:
-            raise ConfigurationError("tolerances must be positive")
+        if self.length_tolerance <= 0:
+            raise ConfigurationError("length_tolerance must be positive")
 
     def with_updates(self, **changes) -> "PILPConfig":
         """Return a copy with selected fields replaced."""

@@ -31,25 +31,18 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
 from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
-from repro.core.result import FlowResult, PhaseResult
+from repro.core.result import FlowResult
+from repro.core.warm_start import solve_phase
 from repro.layout.drc import run_drc
 from repro.layout.metrics import compute_metrics
 
 
 def build_exact_model(netlist: Netlist, config: PILPConfig) -> BuildResult:
     """The model the exact flow solves: Section 4's rows plus the AND rows."""
-    options = BuildOptions(
-        blurred_devices=False,
-        exact_lengths=True,
-        allow_overlap=False,
-        include_device_blocks=True,
-        same_net_spacing=config.same_net_spacing,
-    )
-    builder = RficModelBuilder(netlist, config, options, name=f"exact[{netlist.name}]")
+    builder = RficModelBuilder(netlist, config, BuildOptions(), name=f"exact[{netlist.name}]")
     build = builder.build()
     builder.add_bend_and_rows()
     return build
@@ -73,38 +66,17 @@ class ExactLayoutGenerator:
             solution within the configured time limit.
         """
         start = time.perf_counter()
-        build = build_exact_model(netlist, self.config)
-        model_build_time = time.perf_counter() - start
         settings = self.config.exact
-        solution = build.model.solve(
-            time_limit=settings.time_limit, mip_gap=settings.mip_gap
+        phase = solve_phase(
+            "exact",
+            lambda: build_exact_model(netlist, self.config),
+            lambda build: build.model.solve(
+                time_limit=settings.time_limit, mip_gap=settings.mip_gap
+            ),
+            {"flow": self.flow_name},
         )
-        solved = time.perf_counter() - start
-        if not solution.is_feasible:
-            raise InfeasibleModelError(
-                f"exact model for {netlist.name!r} returned {solution.status.value} "
-                f"after {solved:.1f}s ({build.model.statistics()})"
-            )
-
-        layout = build.extract_layout(
-            solution,
-            metadata={
-                "flow": self.flow_name,
-                "solver_status": solution.status.value,
-                "solver_backend": solution.backend,
-            },
-        )
-        phase = PhaseResult(
-            phase="exact",
-            layout=layout,
-            solution=solution,
-            runtime=solved,
-            length_errors=build.length_errors(solution),
-            bend_counts=build.bend_counts(solution),
-            total_overlap=0.0,
-            model_statistics=build.model.statistics(),
-            model_build_time=model_build_time,
-        )
+        layout = phase.layout
+        layout.metadata["solver_backend"] = phase.solution.backend
         metrics_started = time.perf_counter()
         metrics = compute_metrics(layout)
         drc_started = time.perf_counter()

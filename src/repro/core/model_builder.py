@@ -11,13 +11,15 @@ program following the paper's formulation:
 * equivalent length with the per-bend compensation δ (12) matched exactly
   (13) or softly via unmatched-length variables (23)-(25),
 * pin connections (14) and pad boundary placement (15),
-* pairwise non-overlap of expanded bounding boxes (16)-(20), optionally
-  relaxed by penalised overlap slack (Phase 1),
-* the bend-count objective (21) extended with the Phase-1 penalty terms (26).
+* pairwise non-overlap of expanded bounding boxes (16)-(20), relaxed by
+  penalised overlap slack whenever lengths are soft,
+* the bend-count objective (21) extended with the penalty terms (26).
 
 The same builder serves the one-shot exact model and all three phases of the
-progressive flow; :class:`BuildOptions` selects which abstractions apply
-(blurred devices, confinement windows, rotation freedom, soft lengths).
+progressive flow; :class:`BuildOptions` selects which abstractions apply:
+blurred devices (Phase 1), soft length and overlap together (the model (26)
+of Phases 1 and 2 and of the soft Phase-3 iterations), confinement windows
+and rotation freedom.
 
 The large constraint families — segment bounding boxes, no-reversal rows,
 bend detection and above all the pairwise non-overlap disjunctions, which
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ModelError
 from repro.circuit.device import Device, Rotation
@@ -68,6 +70,9 @@ SNAP_TOL = 1.0e-3
 class BuildOptions:
     """Switches selecting which abstraction of the model to build.
 
+    Every field is one that some phase sets to more than one value; the
+    defaults build the exact Section-4 model.
+
     Attributes
     ----------
     blurred_devices:
@@ -76,14 +81,10 @@ class BuildOptions:
         the non-overlap constraints, and length targets are grown per
         equation (23).
     exact_lengths:
-        Enforce equation (13) as a hard constraint.  When ``False`` the
-        unmatched-length variables of (24)-(25) are created and penalised.
-    allow_overlap:
-        Add the per-pair overlap slack of Phase 1 (penalised in the
-        objective) instead of hard non-overlap.
-    include_device_blocks:
-        Whether placed devices participate in the pairwise non-overlap
-        constraints (disabled in Phase 1).
+        Enforce equation (13) and the non-overlap rows (16)-(19) as hard
+        constraints.  When ``False`` the model is the soft one of (26): the
+        unmatched-length variables of (24)-(25) are created and every
+        spacing pair gets overlap slack, both penalised in the objective.
     chain_point_counts:
         Number of chain points per microstrip; nets not listed fall back to
         the configuration default.
@@ -96,13 +97,9 @@ class BuildOptions:
         Devices whose orientation the model may choose (Phase 3).
     fixed_rotations:
         Orientation to use for devices that are not free to rotate.
-    length_targets:
-        Per-net length-target overrides (the grown targets of Phase 1).
     extra_segment_margin:
         Additional bounding-box expansion applied to every segment (the
         aggressive reservation for blurred devices, Figure 8).
-    same_net_spacing:
-        Enforce spacing between non-adjacent segments of the same net.
     forced_spacing_pairs:
         Pairs of *net names* whose mutual spacing exemption is revoked.
         Used by Phase-3 refinement to untangle nets whose centre lines were
@@ -113,16 +110,12 @@ class BuildOptions:
 
     blurred_devices: bool = False
     exact_lengths: bool = True
-    allow_overlap: bool = False
-    include_device_blocks: bool = True
     chain_point_counts: Mapping[str, int] = field(default_factory=dict)
     device_windows: Mapping[str, Rect] = field(default_factory=dict)
     chain_windows: Mapping[Tuple[str, int], Rect] = field(default_factory=dict)
     rotatable_devices: Set[str] = field(default_factory=set)
     fixed_rotations: Mapping[str, Rotation] = field(default_factory=dict)
-    length_targets: Mapping[str, float] = field(default_factory=dict)
     extra_segment_margin: float = 0.0
-    same_net_spacing: bool = False
     forced_spacing_pairs: Set[frozenset] = field(default_factory=set)
 
 
@@ -279,8 +272,8 @@ class BuildResult:
         }
 
     def total_overlap(self, solution: Solution) -> float:
-        """Total residual overlap slack (Phase-1/2 diagnostics)."""
-        return sum(solution.value(slack) for slack in self.overlap_slacks)
+        """Total residual overlap slack (zero when overlap is forbidden)."""
+        return sum((solution.value(slack) for slack in self.overlap_slacks), 0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -515,9 +508,6 @@ class RficModelBuilder:
         return self.config.chain_points_per_microstrip
 
     def _net_target(self, net: MicrostripNet) -> float:
-        override = self.options.length_targets.get(net.name)
-        if override is not None:
-            return float(override)
         if self.options.blurred_devices:
             # Equation (23): grow the target by the centre-to-boundary runs of
             # the two terminal devices that disappear in the blurred model.
@@ -874,7 +864,7 @@ class RficModelBuilder:
                     )
                 )
 
-        if not self.options.include_device_blocks or self.options.blurred_devices:
+        if self.options.blurred_devices:
             return
         for device in self.netlist.devices:
             device_vars = self._devices[device.name]
@@ -924,9 +914,6 @@ class RficModelBuilder:
             if self._pair_forced(first, second):
                 return False
             if first.net_name == second.net_name:
-                if self.options.same_net_spacing:
-                    # Adjacent segments always share a chain point.
-                    return abs(first.segment_index - second.segment_index) <= 1
                 return True
             return self._segments_share_terminal(first, second)
         if {first.kind, second.kind} == {"segment", "device"}:
@@ -993,7 +980,7 @@ class RficModelBuilder:
         edges and ingested with a single :meth:`Model.add_linear_batch`.
         """
         model = self.model
-        allow_overlap = self.options.allow_overlap
+        allow_overlap = not self.options.exact_lengths
         batch = ConstraintBatch()
         for first, second in itertools.combinations(self._blocks, 2):
             if self._spacing_exempt(first, second):
@@ -1022,7 +1009,7 @@ class RficModelBuilder:
             first_xl, first_xr, first_yl, first_yu = first.lowered_edges()
             second_xl, second_xr, second_yl, second_yu = second.lowered_edges()
 
-            # Equations (16)-(19) with the optional Phase-1 overlap slack:
+            # Equations (16)-(19) with the soft model's overlap slack:
             # each row reads ``edge_a - edge_b - M u_k - slack <= 0``.
             batch.add_le(
                 0.0,

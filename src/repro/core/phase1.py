@@ -29,19 +29,18 @@ optimum.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Tuple
 
-from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
 from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
 from repro.core.result import PhaseResult
 from repro.core.seed import seed_placement, spread_boundary_pads
-from repro.core.warm_start import solve_phase_model, warm_start_from_seeds
+from repro.core.warm_start import solve_phase, solve_phase_model, warm_start_from_seeds
 from repro.core.windows import mean_device_extent, window_around
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.ilp.solution import Solution
 
 
 def run_phase1(
@@ -62,42 +61,23 @@ def run_phase1(
         happens when the area is far too small for the netlist).
     """
     config = config or PILPConfig()
-    start = time.perf_counter()
-
-    # The force-directed seed placement feeds both the guided windows and
-    # the warm start; compute it once.
+    # The force-directed seed placement feeds both the windows and the warm
+    # start; compute it once.
     seeds = phase1_seeds(netlist, config)
-    build_started = time.perf_counter()
-    build = build_phase1_model(netlist, config, seeds)
-    model_build_time = time.perf_counter() - build_started
-    warm_values = warm_start_from_seeds(build, seeds)
-    solution = solve_phase_model(build, config.phase1, warm_values, repair=True)
-    runtime = time.perf_counter() - start
-    if not solution.is_feasible:
-        raise InfeasibleModelError(
-            f"phase 1 for {netlist.name!r} returned {solution.status.value} after "
-            f"{runtime:.1f}s ({build.model.statistics()})"
-        )
 
-    layout = build.extract_layout(
-        solution,
-        metadata={
+    def solve(build: BuildResult) -> Solution:
+        warm_values = warm_start_from_seeds(build, seeds)
+        return solve_phase_model(build, config.phase1, warm_values, repair=True)
+
+    return solve_phase(
+        "phase1",
+        lambda: build_phase1_model(netlist, config, seeds),
+        solve,
+        {
             "flow": "p-ilp",
             "phase": "phase1",
-            "solver_status": solution.status.value,
-            "reservation_margin_um": build.options.extra_segment_margin,
+            "reservation_margin_um": _reservation_margin(netlist, config),
         },
-    )
-    return PhaseResult(
-        phase="phase1",
-        layout=layout,
-        solution=solution,
-        runtime=runtime,
-        length_errors=build.length_errors(solution),
-        bend_counts=build.bend_counts(solution),
-        total_overlap=build.total_overlap(solution),
-        model_statistics=build.model.statistics(),
-        model_build_time=model_build_time,
     )
 
 
@@ -114,33 +94,33 @@ def build_phase1_model(
     options = BuildOptions(
         blurred_devices=True,
         exact_lengths=False,
-        allow_overlap=True,
-        include_device_blocks=False,
-        extra_segment_margin=config.blur_margin_factor * mean_device_extent(netlist),
+        extra_segment_margin=_reservation_margin(netlist, config),
         chain_point_counts={
             net.name: config.chain_points_per_microstrip for net in netlist.microstrips
         },
         device_windows=device_windows,
         chain_windows=chain_windows,
-        same_net_spacing=config.same_net_spacing,
     )
     return RficModelBuilder(netlist, config, options, name=f"phase1[{netlist.name}]").build()
+
+
+def _reservation_margin(netlist: Netlist, config: PILPConfig) -> float:
+    """The segment-box expansion that reserves room for blurred devices."""
+    return config.blur_margin_factor * mean_device_extent(netlist)
 
 
 def _phase1_windows(
     netlist: Netlist, config: PILPConfig, seeds: Optional[Dict] = None
 ) -> Tuple[Dict[str, Rect], Dict[Tuple[str, int], Rect]]:
-    """Confinement corridors for the guided Phase-1 model.
+    """Confinement corridors for the Phase-1 model.
 
-    With ``guided_phase1`` disabled both mappings are empty and Phase 1 runs
-    over the whole layout area, as in the paper.  Otherwise every device is
-    confined to a ``phase1_window`` box around its seed position, and every
-    chain point of a net to the bounding corridor spanned by its two terminal
-    seeds (so detours remain possible anywhere between the terminals).
-    ``seeds`` lets the caller share an already-computed seed placement.
+    Every device is confined to a ``phase1_window`` box around its seed
+    position, and every chain point of a net to the bounding corridor
+    spanned by its two terminal seeds (so detours remain possible anywhere
+    between the terminals).  The paper's Phase 1 runs over the whole layout
+    area; this model never does.  ``seeds`` lets the caller share an
+    already-computed seed placement.
     """
-    if not config.guided_phase1:
-        return {}, {}
     tau = config.phase1_window
     if seeds is None:
         seeds = phase1_seeds(netlist, config)

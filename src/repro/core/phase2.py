@@ -10,7 +10,10 @@ most τ_d away from its Phase-1 location, which both bounds the search space
 and lets the builder prune non-overlap pairs whose windows can never meet.
 
 Length matching and overlap removal are still handled through the soft
-objective (26); Phase 3 iterates until both are exact.
+objective (26); Phase 3 iterates until both are exact.  When the real
+outlines cannot be legalised within τ_d, Phase 2 retries once in a doubled
+window; the failed attempt's build and solver seconds stay in the phase's
+runtime and profile entry.
 
 Deviation from the paper: Phase 2 does not search the ILP.  It completes
 its warm start by LP — every integer column pinned to the legalised Phase-1
@@ -34,20 +37,17 @@ when the pinned LP has no optimum.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
 from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
 from repro.core.result import PhaseResult
 from repro.core.seed import relax_seed_overlaps
-from repro.core.warm_start import solve_phase_model, warm_start_from_geometry
+from repro.core.warm_start import solve_phase, solve_phase_model, warm_start_from_geometry
 from repro.core.windows import (
     chain_point_counts,
     chain_positions_from_layout,
-    chain_windows_from_positions,
     window_around,
 )
 from repro.geometry.point import Point
@@ -72,8 +72,8 @@ def run_phase2(
     Phase 1 places device points optimistically; occasionally the real
     device outlines cannot all be legalised within τ_d of those points.  The
     paper handles this by making τ_d "large enough"; Phase 2 retries once
-    with a doubled window.  The returned runtime, model-build time and
-    solver time cover both attempts.
+    with a doubled window, and the failed attempt's cost is folded into the
+    result (:func:`~repro.core.warm_start.solve_phase`).
 
     Raises
     ------
@@ -81,41 +81,24 @@ def run_phase2(
         If no feasible solution exists even within the widened window.
     """
     config = config or PILPConfig()
-    start = time.perf_counter()
-    build, solution, layout, build_time = _solve(netlist, phase1_layout, config, search)
-    if layout is None:
-        failed_solve_time, failed_build_time = solution.solve_time, build_time
-        widened = config.with_updates(confinement_window=2.0 * config.confinement_window)
-        build, solution, layout, build_time = _solve(netlist, phase1_layout, widened, search)
-        solution = solution.after_attempts(failed_solve_time)
-        build_time += failed_build_time
-    runtime = time.perf_counter() - start
-    if layout is None:
-        raise InfeasibleModelError(
-            f"phase 2 for {netlist.name!r} returned {solution.status.value} after "
-            f"{runtime:.1f}s ({build.model.statistics()})"
-        )
-    return PhaseResult(
-        phase="phase2",
-        layout=layout,
-        solution=solution,
-        runtime=runtime,
-        length_errors=build.length_errors(solution),
-        bend_counts=build.bend_counts(solution),
-        total_overlap=build.total_overlap(solution),
-        model_statistics=build.model.statistics(),
-        model_build_time=build_time,
+    widened = config.with_updates(confinement_window=2.0 * config.confinement_window)
+    return _solve(
+        netlist,
+        phase1_layout,
+        config,
+        search,
+        fallback=lambda: _solve(netlist, phase1_layout, widened, search),
     )
 
 
 def _solve(
-    netlist: Netlist, phase1_layout: Layout, config: PILPConfig, search: bool
-) -> Tuple[BuildResult, Solution, Optional[Layout], float]:
-    """Build and solve Phase 2 within ``config.confinement_window``.
-
-    Returns the build, the solution, its layout (``None`` when the solution
-    is infeasible) and the model-build seconds.
-    """
+    netlist: Netlist,
+    phase1_layout: Layout,
+    config: PILPConfig,
+    search: bool,
+    fallback: Optional[Callable[[], PhaseResult]] = None,
+) -> PhaseResult:
+    """Build and solve Phase 2 within ``config.confinement_window``."""
     tau = config.confinement_window
     positions = chain_positions_from_layout(phase1_layout)
     device_windows, chain_windows, relaxed_points = _phase2_windows(
@@ -124,37 +107,29 @@ def _solve(
     options = BuildOptions(
         blurred_devices=False,
         exact_lengths=False,
-        allow_overlap=True,
-        include_device_blocks=True,
         chain_point_counts=chain_point_counts(positions),
         device_windows=device_windows,
         chain_windows=chain_windows,
-        same_net_spacing=config.same_net_spacing,
     )
     builder = RficModelBuilder(netlist, config, options, name=f"phase2[{netlist.name}]")
-    build_started = time.perf_counter()
-    build = builder.build()
-    build_time = time.perf_counter() - build_started
-    # Seed from the legalised Phase-1 geometry: device points pushed apart
-    # until their real outlines clear, chain points as routed.
-    warm_values = warm_start_from_geometry(
-        build,
-        relaxed_points,
-        {name: list(points) for name, points in positions.items()},
+
+    def solve(build: BuildResult) -> Solution:
+        # Seed from the legalised Phase-1 geometry: device points pushed
+        # apart until their real outlines clear, chain points as routed.
+        warm_values = warm_start_from_geometry(
+            build,
+            relaxed_points,
+            {name: list(points) for name, points in positions.items()},
+        )
+        return solve_phase_model(build, config.phase2, warm_values, repair=not search)
+
+    return solve_phase(
+        "phase2",
+        builder.build,
+        solve,
+        {"flow": "p-ilp", "phase": "phase2", "confinement_window_um": tau},
+        fallback,
     )
-    solution = solve_phase_model(build, config.phase2, warm_values, repair=not search)
-    if not solution.is_feasible:
-        return build, solution, None, build_time
-    layout = build.extract_layout(
-        solution,
-        metadata={
-            "flow": "p-ilp",
-            "phase": "phase2",
-            "solver_status": solution.status.value,
-            "confinement_window_um": tau,
-        },
-    )
-    return build, solution, layout, build_time
 
 
 def _phase2_windows(

@@ -16,26 +16,24 @@ Chain points and devices stay confined to τ_d windows around their current
 coordinates.  The penalty weights on unmatched length and overlap escalate
 from iteration to iteration, and once the length error is already small the
 iteration switches to the hard exact-length constraint (13), falling back to
-the soft model if that turns out to be infeasible within its window.
+the soft model if that turns out to be infeasible within its window.  The
+failed hard-length attempt's build and solver seconds stay in the
+iteration's runtime and profile entry.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InfeasibleModelError
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
 from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
 from repro.core.result import PhaseResult
-from repro.core.warm_start import solve_phase_model, warm_start_from_geometry
-from repro.core.windows import (
-    chain_windows_from_positions,
-    device_windows_from_layout,
-    window_around,
-)
+from repro.core.warm_start import solve_phase, solve_phase_model, warm_start_from_geometry
+from repro.core.windows import chain_windows_from_positions, device_windows_from_layout
 from repro.geometry.point import Point, midpoint
 from repro.ilp.solution import Solution
 from repro.layout.drc import DRCReport, run_drc
@@ -125,56 +123,20 @@ def run_phase3_iteration(
     layout: Layout,
     config: PILPConfig,
     iteration: int,
-    plan: Optional[RefinementPlan] = None,
+    plan: RefinementPlan,
 ) -> PhaseResult:
-    """Solve one refinement iteration starting from ``layout``.
+    """Solve one refinement iteration of ``plan`` starting from ``layout``.
 
-    An infeasible hard-length attempt falls back to the soft model; the
-    returned runtime, model-build time and solver time cover both solves.
+    An infeasible hard-length attempt falls back to the soft model, and the
+    failed attempt's cost is folded into the result
+    (:func:`~repro.core.warm_start.solve_phase`).
     """
-    start = time.perf_counter()
-    plan = plan or plan_refinement(netlist, layout, config, allow_exact=iteration > 0)
-    build, solution, model_build_time = _solve_iteration(netlist, layout, config, iteration, plan)
-
-    if not solution.is_feasible and plan.use_exact_lengths:
-        # The hard-length model can be infeasible inside the current windows;
-        # fall back to the soft model for this iteration.
-        failed_solve_time = solution.solve_time
-        plan = replace(plan, use_exact_lengths=False)
-        build, solution, build_time = _solve_iteration(netlist, layout, config, iteration, plan)
-        solution = solution.after_attempts(failed_solve_time)
-        model_build_time += build_time
-
-    runtime = time.perf_counter() - start
-    if not solution.is_feasible:
-        raise InfeasibleModelError(
-            f"phase 3 iteration {iteration} for {netlist.name!r} returned "
-            f"{solution.status.value} after {runtime:.1f}s"
-        )
-
-    refined = build.extract_layout(
-        solution,
-        metadata={
-            "flow": "p-ilp",
-            "phase": f"phase3[{iteration}]",
-            "solver_status": solution.status.value,
-            "exact_lengths": plan.use_exact_lengths,
-            "inserted_chain_points": dict(plan.inserted_points),
-            "deleted_chain_points": dict(plan.deleted_points),
-            "rotatable_devices": sorted(plan.rotatable_devices),
-        },
-    )
-    return PhaseResult(
-        phase=f"phase3[{iteration}]",
-        layout=refined,
-        solution=solution,
-        runtime=runtime,
-        length_errors=build.length_errors(solution),
-        bend_counts=build.bend_counts(solution),
-        total_overlap=build.total_overlap(solution),
-        model_statistics=build.model.statistics(),
-        model_build_time=model_build_time,
-    )
+    fallback = None
+    if plan.use_exact_lengths:
+        # The hard-length model can be infeasible inside the current windows.
+        soft = replace(plan, use_exact_lengths=False)
+        fallback = partial(_solve_iteration, netlist, layout, config, iteration, soft)
+    return _solve_iteration(netlist, layout, config, iteration, plan, fallback)
 
 
 def _solve_iteration(
@@ -183,8 +145,9 @@ def _solve_iteration(
     config: PILPConfig,
     iteration: int,
     plan: RefinementPlan,
-) -> Tuple[BuildResult, Solution, float]:
-    """Build and solve one iteration's model; also returns the build seconds."""
+    fallback: Optional[Callable[[], PhaseResult]] = None,
+) -> PhaseResult:
+    """Build and solve one iteration's model."""
     escalation = _WEIGHT_ESCALATION ** iteration
     weights = config.weights
     escalated = config.with_updates(
@@ -211,8 +174,6 @@ def _solve_iteration(
     options = BuildOptions(
         blurred_devices=False,
         exact_lengths=plan.use_exact_lengths,
-        allow_overlap=not plan.use_exact_lengths,
-        include_device_blocks=True,
         chain_point_counts={
             name: len(points) for name, points in plan.chain_positions.items()
         },
@@ -220,24 +181,37 @@ def _solve_iteration(
         chain_windows=chain_windows_from_positions(plan.chain_positions, tau),
         rotatable_devices=set(plan.rotatable_devices),
         fixed_rotations=fixed_rotations,
-        same_net_spacing=config.same_net_spacing,
         forced_spacing_pairs=set(plan.forced_spacing_pairs),
     )
     builder = RficModelBuilder(
         netlist, escalated, options, name=f"phase3[{netlist.name}][{iteration}]"
     )
-    build_started = time.perf_counter()
-    build = builder.build()
-    build_time = time.perf_counter() - build_started
-    # Seed from the current layout with the planned chain points (which
-    # already reflect this iteration's deletions and insertions).
-    warm_values = warm_start_from_geometry(
-        build,
-        {p.device_name: p.center for p in layout.placements},
-        {name: list(points) for name, points in plan.chain_positions.items()},
-        rotations=fixed_rotations,
+
+    def solve(build: BuildResult) -> Solution:
+        # Seed from the current layout with the planned chain points (which
+        # already reflect this iteration's deletions and insertions).
+        warm_values = warm_start_from_geometry(
+            build,
+            {p.device_name: p.center for p in layout.placements},
+            {name: list(points) for name, points in plan.chain_positions.items()},
+            rotations=fixed_rotations,
+        )
+        return solve_phase_model(build, config.phase3, warm_values)
+
+    return solve_phase(
+        f"phase3[{iteration}]",
+        builder.build,
+        solve,
+        {
+            "flow": "p-ilp",
+            "phase": f"phase3[{iteration}]",
+            "exact_lengths": plan.use_exact_lengths,
+            "inserted_chain_points": dict(plan.inserted_points),
+            "deleted_chain_points": dict(plan.deleted_points),
+            "rotatable_devices": sorted(plan.rotatable_devices),
+        },
+        fallback,
     )
-    return build, solve_phase_model(build, config.phase3, warm_values), build_time
 
 
 def run_phase3(

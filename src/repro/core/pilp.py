@@ -187,11 +187,11 @@ class PILPLayoutGenerator:
             search = run_phase2(netlist, phase1_layout, config, search=True)
             if _geometry(search.layout) == _geometry(repair_layout):
                 # Phase 3 would see the same input: round 1's result stands.
-                phases[1] = search.after_attempts(phases[1:2])
+                phases[1] = search.after_attempts(p.profile_entry() for p in phases[1:2])
             else:
                 flow_round = 2
                 phase1_layout = repair_layout = None
-                phase2 = search.after_attempts(phases[1:])
+                phase2 = search.after_attempts(p.profile_entry() for p in phases[1:])
                 phases = [phases[0], phase2]
                 del completed[1:]
                 save_checkpoint(phase2, search.layout, None, 0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.ilp.solution import Solution
 from repro.layout.drc import DRCReport, crossing_violations
@@ -25,7 +25,11 @@ class PhaseResult:
     solution:
         Raw solver outcome.
     runtime:
-        Wall-clock seconds spent building and solving the phase model.
+        Wall-clock seconds spent building the phase model, computing its
+        warm start, solving it and extracting the layout, every attempt the
+        phase discarded included (see :meth:`after_attempts`).  Preparing
+        the phase's inputs (Phase 1's seed placement, Phase 2's legalised
+        device points) is not part of it.
     length_errors:
         Signed equivalent-length error per net (against the phase's targets).
     bend_counts:
@@ -36,7 +40,8 @@ class PhaseResult:
         Variable / constraint counts of the phase model.
     model_build_time:
         Wall-clock seconds spent constructing the phase model (a subset of
-        ``runtime``; the remainder is solver time plus layout extraction).
+        ``runtime``; the remainder is the warm start, solver time and layout
+        extraction).
     """
 
     phase: str
@@ -63,23 +68,26 @@ class PhaseResult:
     def max_bends(self) -> int:
         return max(self.bend_counts.values()) if self.bend_counts else 0
 
-    def after_attempts(self, discarded: Sequence) -> "PhaseResult":
-        """This phase with the cost of ``discarded`` phase runs folded in.
+    def after_attempts(self, discarded: Iterable[Mapping[str, float]]) -> "PhaseResult":
+        """This phase with the cost of ``discarded`` attempts folded in.
 
-        ``discarded`` holds phase results (live or replayed) whose outcome
-        the flow threw away; their wall, model-build and solver seconds are
+        ``discarded`` holds the :meth:`profile_entry` rows (``wall_s``,
+        ``model_build_s``, ``solver_s``) of attempts whose outcome was thrown
+        away: a phase's failed solve (Phase 2's first window, a Phase-3
+        hard-length model) or a round the flow discarded.  Their seconds are
         added to this phase's, so the flow's profile still covers every
-        solve it ran (the rule :meth:`Solution.after_attempts` applies
-        within a phase).
+        solve it ran.
         """
-        entries = [item.profile_entry() for item in discarded]
+        entries = list(discarded)
         return replace(
             self,
             runtime=self.runtime + sum(entry["wall_s"] for entry in entries),
             model_build_time=self.model_build_time
             + sum(entry["model_build_s"] for entry in entries),
-            solution=self.solution.after_attempts(
-                sum(entry["solver_s"] for entry in entries)
+            solution=replace(
+                self.solution,
+                solve_time=self.solution.solve_time
+                + sum(entry["solver_s"] for entry in entries),
             ),
         )
 

@@ -25,15 +25,22 @@ hands it to the next phase, which warm-starts from that geometry exactly as
 it would from a freshly solved predecessor — the JSON round trip preserves
 coordinates bit-exactly, so the warm start (and therefore the solve) is
 identical to the uninterrupted run's.
+
+:func:`solve_phase` is the one way a phase runs: Phase 1, Phase 2, each
+Phase-3 iteration and the exact flow build, warm start, solve, extract and
+account through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import time
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.circuit.device import Rotation
 from repro.core.model_builder import BuildResult, NetVars, SegmentVars
+from repro.core.result import PhaseResult
 from repro.core.seed import choose_l_orientations, l_corner
+from repro.errors import InfeasibleModelError
 from repro.geometry.point import Point
 from repro.ilp.backends import get_backend
 from repro.ilp.expr import LinExpr, Variable
@@ -386,6 +393,63 @@ def solve_phase_model(
         mip_gap=settings.mip_gap,
         warm_start=warm_values,
         progressive=True,
+    )
+
+
+def solve_phase(
+    phase: str,
+    build_model: Callable[[], BuildResult],
+    solve: Callable[[BuildResult], Solution],
+    metadata: Mapping[str, object],
+    fallback: Optional[Callable[[], PhaseResult]] = None,
+) -> PhaseResult:
+    """Build, solve and read back one phase model.
+
+    ``build_model`` builds the model; ``solve`` computes the warm start
+    and solves the model; ``metadata`` goes into the extracted layout's
+    metadata along with ``solver_status``.  The result's ``runtime`` covers
+    the build, the warm start, the solve and the layout extraction.
+
+    When the solve finds no feasible point, ``fallback`` runs the phase's
+    next attempt and this attempt's wall, model-build and solver seconds
+    are folded into its result (:meth:`PhaseResult.after_attempts`).
+    Without a fallback the phase fails.
+
+    Raises
+    ------
+    InfeasibleModelError
+        If the solve, and the fallback if any, finds no feasible point.
+    """
+    start = time.perf_counter()
+    build = build_model()
+    model_build_time = time.perf_counter() - start
+    solution = solve(build)
+    if not solution.is_feasible:
+        wall = time.perf_counter() - start
+        if fallback is not None:
+            failed = {
+                "wall_s": wall,
+                "model_build_s": model_build_time,
+                "solver_s": solution.solve_time,
+            }
+            return fallback().after_attempts([failed])
+        raise InfeasibleModelError(
+            f"{phase} for {build.netlist.name!r} returned {solution.status.value} "
+            f"after {wall:.1f}s ({build.model.statistics()})"
+        )
+    layout = build.extract_layout(
+        solution, metadata={**metadata, "solver_status": solution.status.value}
+    )
+    return PhaseResult(
+        phase=phase,
+        layout=layout,
+        solution=solution,
+        runtime=time.perf_counter() - start,
+        length_errors=build.length_errors(solution),
+        bend_counts=build.bend_counts(solution),
+        total_overlap=build.total_overlap(solution),
+        model_statistics=build.model.statistics(),
+        model_build_time=model_build_time,
     )
 
 

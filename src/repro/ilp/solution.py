@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from repro.errors import ModelError
@@ -107,11 +107,6 @@ class Solution:
                 ) from exc
         expr = LinExpr.from_value(item)
         return expr.value(self.values)
-
-    def after_attempts(self, seconds: float) -> "Solution":
-        """This solution with ``seconds`` of earlier, discarded attempts
-        added to its ``solve_time``, so a phase reports every solve it ran."""
-        return replace(self, solve_time=seconds + self.solve_time)
 
     def as_name_dict(self) -> Dict[str, float]:
         """Return the assignment keyed by variable name (for reporting)."""

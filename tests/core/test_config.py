@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core import ObjectiveWeights, PILPConfig, PhaseSettings
+from repro.core import BuildOptions, ObjectiveWeights, PILPConfig, PhaseSettings
 
 
 class TestObjectiveWeights:
@@ -79,6 +79,42 @@ class TestPILPConfig:
         assert fast.phase1.time_limit < paper.phase1.time_limit
         assert fast.max_refinement_iterations <= paper.max_refinement_iterations
 
+    def test_fields(self):
+        assert [f.name for f in fields(PILPConfig)] == [
+            "weights",
+            "chain_points_per_microstrip",
+            "max_chain_points",
+            "confinement_window",
+            "refinement_window",
+            "phase1_window",
+            "blur_margin_factor",
+            "blur_length_factor",
+            "max_refinement_iterations",
+            "length_tolerance",
+            "phase1",
+            "phase2",
+            "phase3",
+            "exact",
+            "random_seed",
+        ]
+
     def test_refinement_window_not_larger_than_phase2_window(self):
         config = PILPConfig()
         assert config.refinement_window <= config.confinement_window
+
+
+class TestBuildOptions:
+    def test_fields(self):
+        # Soft lengths bring overlap slack and blurred devices drop device
+        # blocks, so neither has a switch of its own.
+        assert [f.name for f in fields(BuildOptions)] == [
+            "blurred_devices",
+            "exact_lengths",
+            "chain_point_counts",
+            "device_windows",
+            "chain_windows",
+            "rotatable_devices",
+            "fixed_rotations",
+            "extra_segment_margin",
+            "forced_spacing_pairs",
+        ]

@@ -63,7 +63,7 @@ class TestExactFlow:
     def test_bend_and_rows_keep_the_optimum(self, session_tiny_netlist):
         """Solved to gap 0, the exact model has the same optimum without its AND rows."""
         config = PILPConfig.fast()
-        options = BuildOptions(exact_lengths=True, allow_overlap=False, include_device_blocks=True)
+        options = BuildOptions(exact_lengths=True)
         without_rows = RficModelBuilder(session_tiny_netlist, config, options).build()
         with_rows = build_exact_model(session_tiny_netlist, config)
         interior_points = sum(len(net.segments) - 1 for net in with_rows.nets.values())

@@ -69,8 +69,8 @@ class TestModelStructure:
         assert soft.max_length_slack_var is not None
 
     def test_overlap_slack_only_when_allowed(self, netlist, config):
-        hard = build(netlist, config, allow_overlap=False)
-        soft = build(netlist, config, allow_overlap=True)
+        hard = build(netlist, config, exact_lengths=True)
+        soft = build(netlist, config, exact_lengths=False)
         assert not hard.overlap_slacks
         assert soft.overlap_slacks
 
@@ -81,15 +81,8 @@ class TestModelStructure:
             blurred.nets["ms_in"].target_length > normal.nets["ms_in"].target_length
         )
 
-    def test_length_target_override(self, netlist, config):
-        result = build(netlist, config, length_targets={"ms_in": 123.0})
-        assert result.nets["ms_in"].target_length == pytest.approx(123.0)
-
     def test_blurred_mode_excludes_device_blocks(self, netlist, config):
-        blurred = build(
-            netlist, config, blurred_devices=True, exact_lengths=False,
-            include_device_blocks=False,
-        )
+        blurred = build(netlist, config, blurred_devices=True, exact_lengths=False)
         full = build(netlist, config)
         assert blurred.num_spacing_pairs < full.num_spacing_pairs
 

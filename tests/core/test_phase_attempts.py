@@ -4,7 +4,8 @@ Phase 2 retries in a doubled confinement window and a Phase-3 iteration
 falls back from the hard-length model to the soft one; the failed first
 attempt is rigged here to take ``FAILED_S`` and return ``INFEASIBLE``.
 When the flow falls back to Phase 2's search, the discarded round is
-folded into the ``phase2`` entry.
+folded into the ``phase2`` entry.  Every phase's runtime also covers the
+extraction of its layout.
 """
 
 import time
@@ -12,8 +13,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import PILPLayoutGenerator, phase2, phase3, pilp
+from repro.core import ExactLayoutGenerator, PILPLayoutGenerator, phase2, phase3, pilp
 from repro.core.config import PILPConfig
+from repro.core.model_builder import BuildResult
 from repro.core.phase1 import run_phase1
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -98,3 +100,21 @@ def test_flow_time_covers_the_discarded_round_and_the_search(tiny_netlist, monke
     assert entry["wall_s"] == pytest.approx(sum(run.runtime for run in folded), abs=1e-5)
     covered = sum(phase["wall_s"] for phase in profile["phases"])
     assert profile["total_s"] >= covered + profile["drc_s"] + profile["metrics_s"]
+
+
+EXTRACT_S = 0.2
+
+
+@pytest.mark.parametrize("generator", [PILPLayoutGenerator, ExactLayoutGenerator])
+def test_every_phase_runtime_covers_its_extraction(generator, tiny_netlist, monkeypatch):
+    extract = BuildResult.extract_layout
+
+    def slow_extract(self, *args, **kwargs):
+        time.sleep(EXTRACT_S)
+        return extract(self, *args, **kwargs)
+
+    monkeypatch.setattr(BuildResult, "extract_layout", slow_extract)
+    profile = generator(PILPConfig.fast()).generate(tiny_netlist).profile()
+    assert profile["phases"]
+    for entry in profile["phases"]:
+        assert entry["wall_s"] >= entry["model_build_s"] + entry["solver_s"] + EXTRACT_S, entry

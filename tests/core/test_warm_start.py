@@ -20,8 +20,6 @@ def phase1_like_build(tiny_netlist):
     options = BuildOptions(
         blurred_devices=True,
         exact_lengths=False,
-        allow_overlap=True,
-        include_device_blocks=False,
     )
     return RficModelBuilder(tiny_netlist, PILPConfig.fast(), options).build()
 
@@ -93,8 +91,6 @@ def test_warm_start_from_layout_roundtrip(tiny_netlist, hand_layout):
     options = BuildOptions(
         blurred_devices=False,
         exact_lengths=False,
-        allow_overlap=True,
-        include_device_blocks=True,
         chain_point_counts={"ms_in": 3, "ms_out": 3},
     )
     build = RficModelBuilder(tiny_netlist, PILPConfig.fast(), options).build()

@@ -180,8 +180,6 @@ class TestHighsSpecifics:
         options = BuildOptions(
             blurred_devices=False,
             exact_lengths=True,
-            allow_overlap=False,
-            include_device_blocks=True,
         )
         model = RficModelBuilder(tiny_netlist, PILPConfig.fast(), options).build().model
         solution = model.solve(backend="highs", node_limit=20)

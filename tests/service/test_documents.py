@@ -44,6 +44,10 @@ class TestConfigRoundTrip:
             {"phase1": {"warm_start": False}},
             {"exact": {"backend": "bnb"}},
             {"phase3": {"progressive": True}},
+            # Flow switches no flow varied: refused, not hashed.
+            {"guided_phase1": False},
+            {"same_net_spacing": True},
+            {"overlap_tolerance": 0.5},
         ]
         for document in documents:
             with pytest.raises(ConfigurationError):

@@ -24,8 +24,6 @@ def _build(netlist):
     options = BuildOptions(
         blurred_devices=True,
         exact_lengths=False,
-        allow_overlap=True,
-        include_device_blocks=False,
     )
     return RficModelBuilder(netlist, PILPConfig.fast(), options).build()
 
@@ -367,6 +365,48 @@ def test_only_the_exact_model_carries_the_bend_and_rows(tiny_netlist, monkeypatc
     phases = {result.model.name.split("[")[0] for result in builds}
     assert phases == {"phase1", "phase2", "phase3"}
     assert all(_bend_and_rows(result.model) == [] for result in builds)
+
+
+def test_perfbench_tracer_sees_every_layer(tiny_netlist, monkeypatch):
+    """perfbench's tracer patches names in ``repro``; each must still be called.
+
+    Tier-1 does not collect ``perfbench/``, so a renamed patch point, or one
+    called other than through its module attribute, would otherwise show up
+    only as a silent 0 in a per-layer metric.
+    """
+    from pathlib import Path
+
+    from repro.core import ExactLayoutGenerator, PILPLayoutGenerator
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import flows
+    import measure
+
+    tracer = measure.Tracer()
+    flows.install_tracer(tracer)
+    try:
+        PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+        ExactLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    finally:
+        tracer.uninstall()
+    every_phase = {"phase1", "phase2", "phase3", "exact"}
+    # Each layer with the phases whose spans must enclose a call of it.
+    expected = {
+        "core.phase": every_phase,
+        "core.warm_start": {"phase1", "phase2", "phase3"},
+        "core.seed": {"phase1", "phase2"},
+        "core.model_build": every_phase,
+        "core.extract": every_phase,
+        "ilp.solve": {"phase3", "exact"},
+        "layout.metrics": set(),
+        "layout.drc": set(),
+    }
+    seen = {layer: set() for layer in expected}
+    for span in tracer.spans:
+        if span["name"] in seen:
+            seen[span["name"]].add(span["phase"])
+    for layer, phases in expected.items():
+        assert seen[layer] and phases <= seen[layer], (layer, seen[layer])
 
 
 def test_solve_processes_run_blas_on_the_calling_thread():
