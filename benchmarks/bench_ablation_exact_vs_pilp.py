@@ -1,7 +1,10 @@
-"""Ablation: one-shot exact ILP (Section 4) vs progressive P-ILP (Section 5).
+"""Ablation: exact ILP (Section 4) vs progressive P-ILP (Section 5).
 
 The paper motivates the progressive flow by the unacceptable runtime of the
-exact model.  On a circuit small enough for both to finish, the ablation
+exact model.  The exact flow solves the full model to its gap; it first
+proves a bend floor on relaxations with few chain points and, when a bend
+bound certifies it, lifts a relaxation's optimum instead of searching the
+full model (see :mod:`repro.core.exact`).  On a circuit small enough for both to finish, the ablation
 checks that (i) both produce DRC-clean exact-length layouts and (ii) the
 progressive flow does not lose layout quality (bend counts) relative to the
 exact optimum.

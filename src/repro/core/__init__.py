@@ -1,6 +1,7 @@
 """The paper's core contribution: concurrent placement + fixed-length routing.
 
-``ExactLayoutGenerator`` solves the complete Section-4 ILP in one shot;
+``ExactLayoutGenerator`` solves the complete Section-4 ILP to its gap, by
+bend-budget deepening over relaxations with few chain points;
 ``PILPLayoutGenerator`` runs the three-phase progressive flow of Section 5.
 Both return a :class:`~repro.core.result.FlowResult` containing the final
 layout, its metrics, a DRC report and per-phase diagnostics.

@@ -78,8 +78,11 @@ class PhaseSettings:
     search, which runs when the flow's final layout from the repair fails
     DRC (see :mod:`repro.core.pilp`).
 
-    The exact flow (:mod:`repro.core.exact`) solves its one model on HiGHS,
-    cold and to the gap, under ``PILPConfig.exact``.
+    The exact flow (:mod:`repro.core.exact`) runs on HiGHS, to the gap,
+    under ``PILPConfig.exact``: it solves relaxations with few chain points
+    until one is feasible, lifts that one's optimum into the full model when
+    a bend bound certifies it, and otherwise searches the full model, all
+    within the one ``time_limit``.
     """
 
     time_limit: Optional[float] = 120.0
@@ -133,7 +136,8 @@ class PILPConfig:
     phase1, phase2, phase3:
         Per-phase solver settings.
     exact:
-        Solver settings of the one-shot exact model (Section 4).
+        Solver settings of the exact model (Section 4): one time limit that
+        every solve of the exact flow shares, and the gap each runs to.
     random_seed:
         Seed for the (deterministic) tie-breaking heuristics of the flow.
     """

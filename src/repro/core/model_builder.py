@@ -15,11 +15,11 @@ program following the paper's formulation:
   penalised overlap slack whenever lengths are soft,
 * the bend-count objective (21) extended with the penalty terms (26).
 
-The same builder serves the one-shot exact model and all three phases of the
-progressive flow; :class:`BuildOptions` selects which abstractions apply:
-blurred devices (Phase 1), soft length and overlap together (the model (26)
-of Phases 1 and 2 and of the soft Phase-3 iterations), confinement windows
-and rotation freedom.
+The same builder serves the exact model (and its chain-point relaxations)
+and all three phases of the progressive flow; :class:`BuildOptions` selects
+which abstractions apply: blurred devices (Phase 1), soft length and overlap
+together (the model (26) of Phases 1 and 2 and of the soft Phase-3
+iterations), confinement windows and rotation freedom.
 
 The large constraint families — segment bounding boxes, no-reversal rows,
 bend detection and above all the pairwise non-overlap disjunctions, which

@@ -244,19 +244,24 @@ def run_phase3(
     config = config or PILPConfig()
     current = phase2_layout
     results: List[PhaseResult] = []
-    best_layout = initial_best if initial_best is not None else phase2_layout
-    best_key = _quality_key(netlist, best_layout)
+    # One design-rule check per layout: its report ranks the layout and
+    # plans the iteration that starts from it.
+    report = run_drc(current)
+    current_key = _quality_key(netlist, current, report)
+    if initial_best is None:
+        best_layout, best_key = current, current_key
+    else:
+        best_layout = initial_best
+        best_key = _quality_key(netlist, best_layout, run_drc(best_layout))
 
     if start_iteration > 0:
         # Re-evaluate the stop conditions the checkpointed run faced at the
         # end of its last iteration: a run that stopped because it was DRC
         # clean must not burn an extra iteration after resume.
-        current_key = _quality_key(netlist, current)
         if current_key[0] == 0 or start_iteration >= config.max_refinement_iterations:
             return results, best_layout
 
     for iteration in range(start_iteration, config.max_refinement_iterations):
-        report = run_drc(current)
         plan = plan_refinement(
             netlist, current, config, drc_report=report, allow_exact=True
         )
@@ -269,8 +274,8 @@ def run_phase3(
             break
         results.append(result)
         current = result.layout
-
-        key = _quality_key(netlist, current)
+        report = run_drc(current)
+        key = _quality_key(netlist, current, report)
         if key < best_key:
             best_key = key
             best_layout = current
@@ -365,8 +370,12 @@ def _max_length_error(netlist: Netlist, layout: Layout) -> float:
     return max(errors) if errors else 0.0
 
 
-def _quality_key(netlist: Netlist, layout: Layout) -> Tuple[int, float, int]:
-    """Ordering key: fewer DRC violations, smaller length error, fewer bends."""
-    report = run_drc(layout)
+def _quality_key(
+    netlist: Netlist, layout: Layout, report: DRCReport
+) -> Tuple[int, float, int]:
+    """Ordering key: fewer DRC violations, smaller length error, fewer bends.
+
+    ``report`` is ``layout``'s design-rule report.
+    """
     total_bends = sum(route.bend_count for route in layout.routes)
     return (report.count(), round(_max_length_error(netlist, layout), 3), total_bends)

@@ -40,7 +40,7 @@ JOB_FLOWS = ("pilp", "exact", "manual")
 
 #: Version of the canonical job document.  Bump when the canonical form (or
 #: anything that invalidates previously cached results) changes.
-RUNNER_SCHEMA_VERSION = 7
+RUNNER_SCHEMA_VERSION = 8
 
 
 def code_version_salt() -> str:
@@ -90,8 +90,8 @@ class LayoutJob:
     Attributes
     ----------
     flow:
-        ``"pilp"`` (progressive flow), ``"exact"`` (one-shot Section-4
-        model) or ``"manual"`` (sequential place-then-route baseline).
+        ``"pilp"`` (progressive flow), ``"exact"`` (the Section-4
+        model solved to its gap) or ``"manual"`` (sequential place-then-route baseline).
     config:
         Solver configuration.  The manual baseline ignores it, so it is
         excluded from the hash for ``flow="manual"`` (any config maps to the

@@ -48,6 +48,51 @@ class TestExactFlow:
     def test_metadata_describes_flow(self, exact_tiny_result):
         assert exact_tiny_result.layout.metadata["flow"] == "exact-ilp"
 
+    def test_optimum_is_certified_on_three_chain_points(self, exact_tiny_result):
+        """No straight layout exists, and the 3-point relaxation's optimum lifts."""
+        metadata = exact_tiny_result.layout.metadata
+        assert metadata["bend_floor"] == 1
+        assert metadata["certified_by_chain_points"] == 3
+        solution = exact_tiny_result.phases[0].solution
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == pytest.approx(24.0)
+        assert "3-chain-point relaxation" in solution.message
+        assert exact_tiny_result.metrics.total_bend_count == 1
+
+    def test_profile_covers_every_level(self, session_tiny_netlist, monkeypatch):
+        """Solver seconds and nodes sum every HiGHS run, the repair LP included."""
+        from repro.core import ExactLayoutGenerator
+        from repro.ilp.backends.highs import HighsBackend
+
+        runs = []
+        for method in ("solve", "repair"):
+            original = getattr(HighsBackend, method)
+
+            def recording(self, *args, _original=original, **kwargs):
+                runs.append(_original(self, *args, **kwargs))
+                return runs[-1]
+
+            monkeypatch.setattr(HighsBackend, method, recording)
+        result = ExactLayoutGenerator(PILPConfig.fast()).generate(session_tiny_netlist)
+        entry = result.profile()["phases"][0]
+        assert len(runs) == 3
+        assert entry["solver_s"] == pytest.approx(sum(run.solve_time for run in runs), abs=1e-5)
+        assert entry["solver_iterations"] == sum(run.iterations or 0 for run in runs)
+        assert entry["solver_iterations"] > 0
+
+    def test_certified_objective_is_the_full_models_optimum(self, session_tiny_netlist):
+        """The certificate agrees with the full model searched to gap 0."""
+        from repro.core import ExactLayoutGenerator
+
+        config = PILPConfig.fast()
+        certified = ExactLayoutGenerator(config).generate(session_tiny_netlist)
+        assert certified.layout.metadata["certified_by_chain_points"] is not None
+        full = build_exact_model(session_tiny_netlist, config).model.solve(
+            time_limit=120.0, mip_gap=0.0
+        )
+        assert full.status is SolveStatus.OPTIMAL
+        assert certified.phases[0].solution.objective == pytest.approx(full.objective)
+
     def test_profile_has_every_stage(self, exact_tiny_result):
         profile = exact_tiny_result.profile()
         assert profile["phases"][0]["model_build_s"] > 0

@@ -37,7 +37,9 @@ def _count_highs_solves(monkeypatch):
 
     def counting(self, model, *args, **kwargs):
         solves.append({"model": model.name, **kwargs})
-        return original(self, model, *args, **kwargs)
+        solution = original(self, model, *args, **kwargs)
+        solves[-1]["status"] = solution.status
+        return solution
 
     monkeypatch.setattr(HighsBackend, "solve", counting)
     return solves
@@ -341,15 +343,11 @@ def _bend_and_rows(model):
     return [c.name for c in model.constraints if c.name.endswith((".hv_and", ".vh_and"))]
 
 
-def test_only_the_exact_model_carries_the_bend_and_rows(tiny_netlist, monkeypatch):
-    """Two AND rows per interior chain point in the exact model, none in a P-ILP phase."""
-    from repro.core import PILPLayoutGenerator, pilp
-    from repro.core.exact import build_exact_model
+def _bend_floor_rows(model):
+    return [c.name for c in model.constraints if c.name.startswith("obj.bend_floor")]
 
-    exact = build_exact_model(tiny_netlist, PILPConfig.fast())
-    interior_points = sum(len(net.segments) - 1 for net in exact.nets.values())
-    assert len(_bend_and_rows(exact.model)) == 2 * interior_points > 0
 
+def _record_builds(monkeypatch):
     builds = []
     build = RficModelBuilder.build
 
@@ -358,6 +356,58 @@ def test_only_the_exact_model_carries_the_bend_and_rows(tiny_netlist, monkeypatc
         return builds[-1]
 
     monkeypatch.setattr(RficModelBuilder, "build", recording)
+    return builds
+
+
+def test_the_exact_flow_certifies_its_optimum_on_three_chain_points(
+    tiny_netlist, monkeypatch
+):
+    """R_0 is infeasible and R_1's optimum lifts: the full model is repaired, not searched."""
+    from repro.core import ExactLayoutGenerator
+    from repro.ilp.backends.highs import HighsBackend
+    from repro.ilp.solution import SolveStatus
+
+    solves = _count_highs_solves(monkeypatch)
+    repairs = []
+    repair = HighsBackend.repair
+
+    def counting_repair(self, model, warm_start):
+        repairs.append(model.name)
+        return repair(self, model, warm_start)
+
+    monkeypatch.setattr(HighsBackend, "repair", counting_repair)
+    builds = _record_builds(monkeypatch)
+    result = ExactLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+
+    assert [(solve["model"], solve["status"]) for solve in solves] == [
+        ("exact[tiny][2 chain points]", SolveStatus.INFEASIBLE),
+        ("exact[tiny][3 chain points]", SolveStatus.OPTIMAL),
+    ]
+    assert repairs == ["exact[tiny]"]
+    assert result.phases[0].solution.status is SolveStatus.OPTIMAL
+    assert result.layout.metadata["certified_by_chain_points"] == 3
+    assert result.layout.metadata["bend_floor"] == 1
+    floors = {build.model.name: _bend_floor_rows(build.model) for build in builds}
+    assert floors == {
+        "exact[tiny]": ["obj.bend_floor", "obj.bend_floor_total"],
+        "exact[tiny][2 chain points]": [],
+        "exact[tiny][3 chain points]": ["obj.bend_floor", "obj.bend_floor_total"],
+    }
+
+
+def test_only_the_exact_model_carries_the_bend_and_rows(tiny_netlist, monkeypatch):
+    """Two AND rows per interior chain point in the exact model, none in a P-ILP phase.
+
+    No P-ILP model carries a bend floor either.
+    """
+    from repro.core import PILPLayoutGenerator, pilp
+    from repro.core.exact import build_exact_model
+
+    exact = build_exact_model(tiny_netlist, PILPConfig.fast())
+    interior_points = sum(len(net.segments) - 1 for net in exact.nets.values())
+    assert len(_bend_and_rows(exact.model)) == 2 * interior_points > 0
+
+    builds = _record_builds(monkeypatch)
     # A dirty final DRC makes the flow also build its fallback Phase-2 search
     # model and a second round of Phase-3 models.
     monkeypatch.setattr(pilp, "run_drc", _crossing)
@@ -365,6 +415,25 @@ def test_only_the_exact_model_carries_the_bend_and_rows(tiny_netlist, monkeypatc
     phases = {result.model.name.split("[")[0] for result in builds}
     assert phases == {"phase1", "phase2", "phase3"}
     assert all(_bend_and_rows(result.model) == [] for result in builds)
+    assert all(_bend_floor_rows(result.model) == [] for result in builds)
+
+
+def test_the_pilp_flow_checks_each_layout_once(tiny_netlist, monkeypatch):
+    """Phase 3 ranks a layout and plans from it with one design-rule report."""
+    from repro.core import PILPLayoutGenerator
+    from repro.layout.drc import DesignRuleChecker
+
+    checked = []  # holding the layouts keeps their ids distinct
+    check = DesignRuleChecker.check
+
+    def recording(self, layout, *args, **kwargs):
+        checked.append(layout)
+        return check(self, layout, *args, **kwargs)
+
+    monkeypatch.setattr(DesignRuleChecker, "check", recording)
+    PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    assert checked
+    assert len({id(layout) for layout in checked}) == len(checked)
 
 
 def test_perfbench_tracer_sees_every_layer(tiny_netlist, monkeypatch):
