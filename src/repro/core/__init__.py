@@ -29,7 +29,6 @@ from repro.core.phase3 import (
 from repro.core.pilp import PILPLayoutGenerator, generate_pilp_layout
 from repro.core.warm_start import (
     warm_start_from_geometry,
-    warm_start_from_layout,
     warm_start_from_seeds,
 )
 from repro.core.windows import (
@@ -64,7 +63,6 @@ __all__ = [
     "plan_refinement",
     "RefinementPlan",
     "warm_start_from_geometry",
-    "warm_start_from_layout",
     "warm_start_from_seeds",
     "window_around",
     "device_windows_from_layout",

@@ -68,8 +68,8 @@ class PhaseSettings:
     time_limit:
         Wall-clock budget of one solve in seconds (``None`` = unlimited).
     mip_gap:
-        Relative MIP gap at which the solver may stop (``None`` = the
-        backend's default).
+        Relative MIP gap at which the solver may stop (``None`` = HiGHS's
+        default).
 
     A Phase 1 or Phase 2 that keeps its LP repair does not search (see
     :mod:`repro.core.phase1` and :mod:`repro.core.phase2`).  Their

@@ -48,7 +48,7 @@ objective is at most ``(alpha + beta)(k + 1)`` and it lifts into the full
 model, the lift is the full model's optimum within ``R_k``'s gap.  The lift
 pads each route to the full chain count by repeating interior chain points
 (:func:`pad_chain`), warm starts the full model from that geometry and
-completes it by LP (:meth:`~repro.ilp.backends.base.SolverBackend.repair`).
+completes it by LP (:meth:`~repro.ilp.backends.highs.HighsBackend.repair`).
 Otherwise the full model, with the floor rows, is searched to the gap from
 the lift (cold when there is none) in what is left of the time limit.  The
 last level is the full model, so there is one path.
@@ -72,7 +72,7 @@ from repro.core.model_builder import BuildOptions, BuildResult, RficModelBuilder
 from repro.core.result import FlowResult
 from repro.core.warm_start import solve_phase, warm_start_from_geometry
 from repro.geometry.point import Point, midpoint
-from repro.ilp.backends import get_backend
+from repro.ilp.backends.highs import HighsBackend
 from repro.ilp.expr import LinExpr, Variable
 from repro.ilp.solution import Solution, SolveStatus
 from repro.layout.drc import run_drc
@@ -194,7 +194,7 @@ class BendBudgetDeepening:
         if level is not None:
             k, relaxation, solution = level
             warm_start = _lift(full, relaxation, solution)
-            repaired = get_backend("highs").repair(full.model, warm_start)
+            repaired = HighsBackend().repair(full.model, warm_start)
             if repaired is not None:
                 self._run(repaired)
                 weights = self.config.weights

@@ -15,7 +15,7 @@ discrete choices of the L-shaped routes through the force-directed seed
 placement, each turning the way :func:`~repro.core.seed.choose_l_orientations`
 chose so that as few net pairs cross as its search finds (none on the
 reduced benchmark circuits), pins every integer column to them and solves
-the remaining LP once (:meth:`~repro.ilp.backends.base.SolverBackend.repair`).
+the remaining LP once (:meth:`~repro.ilp.backends.highs.HighsBackend.repair`).
 Measured at the benchmark budgets, the search never beat that repaired seed:
 on reduced lna94, buffer60 and lna60 the repaired seed (found after 0.02 s)
 was the only incumbent, and each run then spent a 1.25 s stall window on

@@ -18,7 +18,7 @@ runtime and profile entry.
 Deviation from the paper: Phase 2 does not search the ILP.  It completes
 its warm start by LP — every integer column pinned to the legalised Phase-1
 geometry, the rest solved once
-(:meth:`~repro.ilp.backends.base.SolverBackend.repair`) — and hands that
+(:meth:`~repro.ilp.backends.highs.HighsBackend.repair`) — and hands that
 repaired layout to Phase 3, as Phase 1 keeps its repaired seed.  The
 paper's warm-started search is the flow's fallback:
 :class:`~repro.core.pilp.PILPLayoutGenerator` runs it (``search=True``) only

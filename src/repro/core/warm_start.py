@@ -11,12 +11,12 @@ This module rebuilds a *complete* variable assignment for a freshly built
 centres, rotations and per-net chain points — including all derived
 variables: direction binaries, segment lengths, bounding boxes, bend
 indicators, length slacks, spacing-pair selectors and overlap slacks, and
-the objective envelope variables.  The assignment is handed to the solver
-backends as a warm start (HiGHS injects it with ``setSolution``; the
-branch-and-bound backend repairs it into its initial incumbent).
+the objective envelope variables.  The assignment is handed to HiGHS as a
+warm start: a search injects it with ``setSolution``, and a repair pins its
+integer columns and solves the remaining LP.
 
-The assignment does not need to be perfectly feasible — backends treat it as
-a seed, not as an answer — but the closer it is, the more of the solver
+The assignment does not need to be perfectly feasible — a search treats it
+as a seed, not as an answer — but the closer it is, the more of the solver
 budget goes into *improving* rather than *finding* solutions.
 
 Checkpoint resume (:mod:`repro.core.checkpoint`) rides the same machinery:
@@ -42,7 +42,7 @@ from repro.core.result import PhaseResult
 from repro.core.seed import choose_l_orientations, l_corner
 from repro.errors import InfeasibleModelError
 from repro.geometry.point import Point
-from repro.ilp.backends import get_backend
+from repro.ilp.backends.highs import HighsBackend
 from repro.ilp.expr import LinExpr, Variable
 from repro.ilp.solution import Solution
 
@@ -328,20 +328,6 @@ def warm_start_from_geometry(
     return values
 
 
-def warm_start_from_layout(build: BuildResult, layout) -> Dict[Variable, float]:
-    """Warm start a model from a previous phase's layout snapshot."""
-    device_points = {
-        placement.device_name: placement.center for placement in layout.placements
-    }
-    rotations = {
-        placement.device_name: placement.rotation for placement in layout.placements
-    }
-    chain_points = {
-        route.net_name: list(route.path.points) for route in layout.routes
-    }
-    return warm_start_from_geometry(build, device_points, chain_points, rotations)
-
-
 def warm_start_from_seeds(
     build: BuildResult, seeds: Mapping[str, Point]
 ) -> Dict[Variable, float]:
@@ -380,12 +366,12 @@ def solve_phase_model(
     ``warm_values``.
 
     ``repair`` makes the phase repair instead of search: the LP repair of
-    the warm start (:meth:`~repro.ilp.backends.base.SolverBackend.repair`)
+    the warm start (:meth:`~repro.ilp.backends.highs.HighsBackend.repair`)
     is returned as is, and the MIP search runs only when the pinned LP has
     no optimum.
     """
     if repair:
-        repaired = get_backend("highs").repair(build.model, warm_values)
+        repaired = HighsBackend().repair(build.model, warm_values)
         if repaired is not None:
             return repaired
     return build.model.solve(

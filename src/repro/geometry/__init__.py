@@ -6,12 +6,8 @@ from repro.geometry.segment import Segment
 from repro.geometry.path import ManhattanPath, serpentine_path
 from repro.geometry.overlap import (
     OverlapReport,
-    all_inside,
     find_overlaps,
     overlap_extents,
-    packing_density,
-    spacing_violations,
-    total_overlap_area,
 )
 
 __all__ = [
@@ -26,8 +22,4 @@ __all__ = [
     "OverlapReport",
     "overlap_extents",
     "find_overlaps",
-    "total_overlap_area",
-    "spacing_violations",
-    "all_inside",
-    "packing_density",
 ]

@@ -1,15 +1,15 @@
-"""Pairwise overlap and spacing analysis for collections of rectangles.
+"""Pairwise overlap analysis for collections of rectangles.
 
 These helpers back the design-rule checker and the overlap-penalty terms of
 the Phase-1 model: given a set of labelled rectangles they report which pairs
-overlap, by how much, and whether the required spacing is met.
+overlap and by how much.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.geometry.point import GEOM_TOL
 from repro.geometry.rect import Rect
@@ -65,49 +65,3 @@ def find_overlaps(
         if overlap_x > tolerance and overlap_y > tolerance:
             reports.append(OverlapReport(label_a, label_b, overlap_x, overlap_y))
     return reports
-
-
-def total_overlap_area(rects: Dict[str, Rect], tolerance: float = GEOM_TOL) -> float:
-    """Sum of pairwise overlap areas — the quantity penalised in Phase 1."""
-    return sum(report.area for report in find_overlaps(rects, tolerance))
-
-
-def spacing_violations(
-    rects: Dict[str, Rect],
-    required_spacing: float,
-    tolerance: float = GEOM_TOL,
-    ignore_pairs: Iterable[Tuple[str, str]] = (),
-) -> List[Tuple[str, str, float]]:
-    """Return pairs of labelled rectangles closer than ``required_spacing``.
-
-    The rectangles here are the raw outlines; the required spacing is the
-    paper's ``2t`` coupling distance.  Each violation is reported as
-    ``(label_a, label_b, actual_separation)``.
-    """
-    ignored = {frozenset(pair) for pair in ignore_pairs}
-    violations: List[Tuple[str, str, float]] = []
-    for (label_a, rect_a), (label_b, rect_b) in combinations(sorted(rects.items()), 2):
-        if frozenset((label_a, label_b)) in ignored:
-            continue
-        separation = rect_a.separation(rect_b)
-        if separation < required_spacing - tolerance:
-            violations.append((label_a, label_b, separation))
-    return violations
-
-
-def all_inside(
-    rects: Sequence[Rect], boundary: Rect, tolerance: float = GEOM_TOL
-) -> bool:
-    """True when every rectangle lies inside the boundary rectangle."""
-    return all(boundary.contains_rect(rect, tolerance) for rect in rects)
-
-
-def packing_density(rects: Sequence[Rect], boundary: Rect) -> float:
-    """Fraction of the boundary area covered by the union-free sum of rects.
-
-    Overlaps are not deduplicated; the value is intended as a coarse layout
-    density indicator for reports, not an exact union area.
-    """
-    if boundary.area <= 0:
-        return 0.0
-    return sum(rect.area for rect in rects) / boundary.area

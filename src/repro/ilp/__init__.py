@@ -2,10 +2,9 @@
 
 This subpackage is the solver substrate that replaces Gurobi in the paper's
 flow.  It provides a small modelling language (:class:`Model`,
-:class:`Variable`, :class:`LinExpr`, :class:`Constraint`), the standard
-linearisation tricks the paper relies on (:mod:`repro.ilp.linearize`) and two
-interchangeable backends (HiGHS via SciPy, and a pure-Python
-branch-and-bound).
+:class:`Variable`, :class:`LinExpr`, :class:`Constraint`), the linearisation
+tricks the model builder uses (:mod:`repro.ilp.linearize`) and one exact MILP
+solver, HiGHS on SciPy's bundled binding (:mod:`repro.ilp.backends.highs`).
 
 Quick example
 -------------
@@ -21,29 +20,10 @@ Quick example
 """
 
 from repro.ilp.compile import ColumnExpr, ConstraintBatch
-from repro.ilp.expr import (
-    Constraint,
-    LinExpr,
-    Sense,
-    Variable,
-    VarType,
-    lin_sum,
-    quicksum,
-)
-from repro.ilp.linearize import (
-    absolute_value,
-    at_most_one,
-    disjunction_at_least_one,
-    equal_if,
-    exactly_one,
-    geq_if,
-    leq_if,
-    max_envelope,
-    product_binary_continuous,
-)
+from repro.ilp.expr import Constraint, LinExpr, Sense, Variable, VarType, lin_sum
+from repro.ilp.linearize import equal_if, exactly_one
 from repro.ilp.model import Model, StandardForm
 from repro.ilp.solution import Solution, SolveStatus
-from repro.ilp.backends import available_backends, get_backend
 
 __all__ = [
     "Model",
@@ -53,21 +33,11 @@ __all__ = [
     "LinExpr",
     "Constraint",
     "Sense",
-    "quicksum",
     "lin_sum",
     "ColumnExpr",
     "ConstraintBatch",
     "Solution",
     "SolveStatus",
-    "get_backend",
-    "available_backends",
     "equal_if",
-    "leq_if",
-    "geq_if",
-    "product_binary_continuous",
-    "absolute_value",
-    "max_envelope",
     "exactly_one",
-    "at_most_one",
-    "disjunction_at_least_one",
 ]

@@ -1,17 +1,17 @@
-"""HiGHS MILP backend on SciPy's bundled HiGHS binding.
+"""The MILP solver: HiGHS on SciPy's bundled binding.
 
-This is the default backend.  SciPy ships the open-source HiGHS solver, which
-plays the role that Gurobi played in the original paper: an exact
-branch-and-cut MILP solver.
+SciPy ships the open-source HiGHS solver, which plays the role that Gurobi
+played in the original paper: an exact branch-and-cut MILP solver.  It is
+the only solver of :mod:`repro.ilp`.
 
-Every HiGHS call under :mod:`repro.ilp` takes one path through the bundled
-binding ``scipy.optimize._highspy._core``: :func:`lower` turns a
+Every HiGHS call takes one path through the bundled binding
+``scipy.optimize._highspy._core``: :func:`lower` turns a
 :class:`~repro.ilp.model.StandardForm` into a ``HighsLp`` and :func:`run`
 solves it with a set of options, an optional warm vector and an optional
-callback.  :class:`HighsBackend` uses the pair for cold, warm-started and
-progressive MIPs and for pure LPs; :func:`solve_lp` uses it for the repair LP
-and the branch-and-bound node LPs.  The binding is required: without it a
-solve raises :class:`~repro.errors.SolverError`, and there is no fallback.
+callback.  :meth:`HighsBackend.solve` uses the pair for cold, warm-started
+and progressive MIPs and for pure LPs; :meth:`HighsBackend.repair` uses it
+for the LP that completes a warm start.  The binding is required: without it
+a solve raises :class:`~repro.errors.SolverError`, and there is no fallback.
 
 Two features rely on the binding's full surface:
 
@@ -32,14 +32,14 @@ Two features rely on the binding's full surface:
 
 from __future__ import annotations
 
+import collections.abc
 import time
-from typing import Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import SolverError
-from repro.ilp.backends.base import SolverBackend
 from repro.ilp.expr import Variable
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -151,31 +151,21 @@ def run(core, lp, options: Mapping[str, object], warm_vector=None, callback=None
     return highs.getModelStatus(), info, x
 
 
-def solve_lp(
-    form,
-    lower_bounds: np.ndarray,
-    upper_bounds: np.ndarray,
-    deadline: Optional[float] = None,
-) -> Optional[Tuple[float, np.ndarray]]:
-    """Solve ``form``'s LP relaxation over the given bounds (minimising).
+def pinned_bounds(form, x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Copies of ``form``'s bounds with every integer column fixed to ``x``.
 
-    Returns ``(objective_value, x)``, or ``None`` when the LP has no optimum
-    or ``deadline`` (a ``time.perf_counter`` instant) has already passed.
+    ``x`` is rounded on the integer columns; returns ``None`` when a rounded
+    value falls outside its variable's bounds.
     """
-    options = {}
-    if deadline is not None:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return None
-        options["time_limit"] = max(0.05, remaining)
-    core = _highspy_core()
-    lp = lower(core, form, relax=True)
-    lp.col_lower_ = lower_bounds
-    lp.col_upper_ = upper_bounds
-    status, info, x = run(core, lp, options)
-    if status != core.HighsModelStatus.kOptimal or x is None:
+    integer_indices = np.flatnonzero(form.integrality)
+    lower = form.lower.copy()
+    upper = form.upper.copy()
+    rounded = np.round(x[integer_indices])
+    lower[integer_indices] = np.maximum(rounded, form.lower[integer_indices])
+    upper[integer_indices] = np.minimum(rounded, form.upper[integer_indices])
+    if np.any(lower > upper):
         return None
-    return float(info.objective_function_value), x
+    return lower, upper
 
 
 class _StallMonitor:
@@ -209,9 +199,10 @@ class _StallMonitor:
                 data_in.user_interrupt = True
 
 
-class HighsBackend(SolverBackend):
+class HighsBackend:
     """Solve models with the HiGHS mixed-integer solver."""
 
+    #: Recorded as ``Solution.backend`` (``solver_backend`` in summaries).
     name = "highs"
 
     def solve(
@@ -222,6 +213,14 @@ class HighsBackend(SolverBackend):
         warm_start: Mapping[Union[Variable, str], float] | None = None,
         **options,
     ) -> Solution:
+        """Solve ``model`` and return a :class:`Solution`.
+
+        ``warm_start`` maps variables (or variable names) to suggested
+        values and seeds a MIP's incumbent.  ``options`` takes
+        ``node_limit`` (HiGHS's ``mip_max_nodes``) and ``progressive`` (stop
+        once the incumbent stalls); anything else raises
+        :class:`~repro.errors.SolverError`.
+        """
         form = model.to_standard_form()
         start = time.perf_counter()
 
@@ -235,9 +234,8 @@ class HighsBackend(SolverBackend):
                 backend=self.name,
             )
 
-        highs_options = {"output_flag": bool(options.pop("display", False))}
+        highs_options = {}
         node_limit = options.pop("node_limit", None)
-        presolve = options.pop("presolve", None)
         progressive = options.pop("progressive", None)
         if options:
             raise SolverError(
@@ -247,8 +245,6 @@ class HighsBackend(SolverBackend):
             highs_options["time_limit"] = float(time_limit)
         if mip_gap is not None:
             highs_options["mip_rel_gap"] = float(mip_gap)
-        if presolve is not None:
-            highs_options["presolve"] = "on" if presolve else "off"
         if node_limit is not None:
             highs_options["mip_max_nodes"] = int(node_limit)
 
@@ -265,6 +261,105 @@ class HighsBackend(SolverBackend):
         if not is_mip and status != core.HighsModelStatus.kOptimal:
             x = None  # a non-optimal LP iterate need not be feasible
         return self._solution(core, form, status, info, x, time.perf_counter() - start)
+
+    def repair(
+        self,
+        model,
+        warm_start: Mapping[Union[Variable, str], float],
+    ) -> Optional[Solution]:
+        """Complete a warm start by LP instead of searching.
+
+        Every integer column is pinned to the warm start's rounded value and
+        the remaining LP is solved once; this is the repair HiGHS applies to
+        an injected incumbent before its search starts.  The pins live on a
+        copy of the standard form's bounds, never on the model.  Returns the
+        repaired assignment as ``FEASIBLE``, or ``None`` when nothing in the
+        warm start matched or the pinned LP has no optimum.
+        """
+        form = model.to_standard_form()
+        start = time.perf_counter()
+        vector = self.warm_start_vector(form, warm_start)
+        if vector is None:
+            return None
+        pinned = pinned_bounds(form, vector)
+        if pinned is None:
+            return None
+        core = _highspy_core()
+        lp = lower(core, form, relax=True)
+        lp.col_lower_, lp.col_upper_ = pinned
+        status, _, x = run(core, lp, {})
+        if status != core.HighsModelStatus.kOptimal or x is None:
+            return None
+        values = self.assignment_from_vector(form, x)
+        vector = np.array([values[var] for var in form.variables])
+        return Solution(
+            status=SolveStatus.FEASIBLE,
+            objective=self.objective_value(form, vector),
+            values=values,
+            solve_time=time.perf_counter() - start,
+            backend=self.name,
+            message="warm start repaired by LP (integer columns pinned)",
+            iterations=0,
+            repaired=True,
+        )
+
+    @staticmethod
+    def assignment_from_vector(form, x: np.ndarray) -> Dict[Variable, float]:
+        """Convert a raw solution vector to a variable->value mapping.
+
+        Integer variables are rounded to the nearest integer and clipped to
+        their bounds to remove solver round-off.
+        """
+        values: Dict[Variable, float] = {}
+        for var, raw in zip(form.variables, x):
+            value = float(raw)
+            if var.is_integer:
+                value = float(round(value))
+            value = min(max(value, var.lb), var.ub)
+            values[var] = value
+        return values
+
+    @staticmethod
+    def objective_value(form, x: np.ndarray) -> float:
+        """Evaluate the (sign-corrected) objective for a raw vector."""
+        return float(form.objective @ x) + form.objective_constant
+
+    @staticmethod
+    def warm_start_vector(
+        form, warm_start: Mapping[Union[Variable, str], float]
+    ) -> Optional[np.ndarray]:
+        """Build a full solution vector from a (possibly partial) warm start.
+
+        Keys may be :class:`Variable` objects of this model or plain variable
+        names; names that do not exist in the model are silently skipped so a
+        previous phase's solution can be replayed onto a related model.
+        Missing variables default to the bound-clamped zero, every provided
+        value is clamped into its variable's bounds, and integer variables
+        are rounded.  Returns ``None`` when nothing matched.
+        """
+        if not isinstance(warm_start, collections.abc.Mapping):
+            raise SolverError(
+                "warm_start must map variables (or variable names) to values, "
+                f"got {type(warm_start).__name__}"
+            )
+        by_name = {var.name: index for index, var in enumerate(form.variables)}
+        x = np.clip(np.zeros(len(form.variables)), form.lower, form.upper)
+        matched = 0
+        for key, value in warm_start.items():
+            if isinstance(key, Variable):
+                index = by_name.get(key.name)
+            else:
+                index = by_name.get(str(key))
+            if index is None:
+                continue
+            x[index] = float(value)
+            matched += 1
+        if matched == 0:
+            return None
+        x = np.clip(x, form.lower, form.upper)
+        integer_mask = form.integrality != 0
+        x[integer_mask] = np.round(x[integer_mask])
+        return x
 
     def _solution(self, core, form, status, info, x, elapsed: float) -> Solution:
         """Map a HiGHS run to a :class:`Solution`.

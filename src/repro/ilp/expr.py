@@ -24,7 +24,7 @@ from repro.errors import ModelError
 Number = Union[int, float]
 
 #: Tolerance used when checking integrality or constraint satisfaction of
-#: solved values.  MILP backends work in double precision; 1e-6 absolute is
+#: solved values.  The MILP solver works in double precision; 1e-6 absolute is
 #: the customary default (it matches Gurobi's ``IntFeasTol``).
 DEFAULT_TOLERANCE = 1.0e-6
 
@@ -401,8 +401,3 @@ def lin_sum(terms: Iterable[ExprLike]) -> LinExpr:
         for var, coeff in expr.coeffs.items():
             total[var] = total.get(var, 0.0) + coeff
     return LinExpr(total, constant)
-
-
-def quicksum(terms: Iterable[ExprLike]) -> LinExpr:
-    """Alias of :meth:`LinExpr.sum`, matching the gurobipy naming."""
-    return LinExpr.sum(terms)

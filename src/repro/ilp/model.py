@@ -9,8 +9,7 @@ objective.  It can be exported to the standard matrix form
                 lb <= x <= ub
                 x_i integer for i in `integrality`
 
-which is the interface shared by the HiGHS backend (SciPy's bundled HiGHS
-binding) and the pure-Python branch-and-bound backend.
+which is what the HiGHS solver (:mod:`repro.ilp.backends.highs`) consumes.
 
 Two performance features back the progressive flow's fast path:
 
@@ -33,6 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ModelError
+from repro.ilp.backends.highs import HighsBackend
 from repro.ilp.compile import ConstraintBatch
 from repro.ilp.expr import (
     DEFAULT_TOLERANCE,
@@ -53,7 +53,7 @@ WarmStart = Mapping[Union[Variable, str], float]
 
 @dataclass
 class StandardForm:
-    """Matrix representation of a model, consumed by solver backends.
+    """Matrix representation of a model, consumed by the solver.
 
     All arrays are indexed consistently with ``variables``: column ``j`` of the
     constraint matrices corresponds to ``variables[j]``.
@@ -306,7 +306,7 @@ class Model:
     # ------------------------------------------------------------------ #
 
     def to_standard_form(self) -> StandardForm:
-        """Export the model to the matrix form used by solver backends.
+        """Export the model to the matrix form used by the solver.
 
         The compiled form is cached.  Because the model API is append-only
         (constraints and variables are never removed or edited in place), a
@@ -314,7 +314,7 @@ class Model:
         constraints: fresh CSR rows are stacked under the cached matrices and
         the bound/integrality vectors are extended, instead of re-lowering
         the whole model.  Callers must treat the returned arrays as
-        read-only — solver backends copy before mutating.
+        read-only — the solver copies before mutating.
         """
         n = len(self._variables)
         num_entries = len(self._entries)
@@ -449,35 +449,30 @@ class Model:
 
     def solve(
         self,
-        backend: str = "highs",
         time_limit: float | None = None,
         mip_gap: float | None = None,
         warm_start: WarmStart | None = None,
         **options,
     ) -> Solution:
-        """Solve the model with the requested backend.
+        """Solve the model with HiGHS.
 
         Parameters
         ----------
-        backend:
-            ``"highs"`` (default, SciPy's HiGHS MILP solver) or
-            ``"branch-and-bound"`` (the pure-Python reference backend).
         time_limit:
             Wall-clock limit in seconds, or ``None`` for no limit.
         mip_gap:
-            Relative optimality gap at which the backend may stop early.
+            Relative optimality gap at which the solver may stop early.
         warm_start:
             Optional mapping of variables (or variable names) to suggested
-            values.  Backends use it to seed an initial incumbent; unknown
-            names are ignored, so a solution from a *related* model (the
-            previous phase of the progressive flow) can be passed directly.
+            values that seeds the initial incumbent; unknown names are
+            ignored, so a solution from a *related* model (the previous
+            phase of the progressive flow) can be passed directly.
         options:
-            Backend-specific keyword options.
+            ``node_limit`` and ``progressive``
+            (:meth:`~repro.ilp.backends.highs.HighsBackend.solve`); any
+            other keyword raises :class:`~repro.errors.SolverError`.
         """
-        from repro.ilp.backends import get_backend
-
-        solver = get_backend(backend)
-        return solver.solve(
+        return HighsBackend().solve(
             self,
             time_limit=time_limit,
             mip_gap=mip_gap,

@@ -1,10 +1,10 @@
-"""Solution objects returned by the MILP backends."""
+"""Solution objects returned by the MILP solver."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.errors import ModelError
 from repro.ilp.expr import ExprLike, LinExpr, Variable
@@ -53,7 +53,7 @@ class Solution:
         Objective value of the returned assignment (``nan`` if none).
     values:
         Mapping from :class:`Variable` to its solved value.  Integer and
-        binary variables are rounded to the nearest integer by the backends.
+        binary variables are rounded to the nearest integer by the solver.
     solve_time:
         Wall-clock seconds spent inside the backend.
     backend:
@@ -63,12 +63,12 @@ class Solution:
     message:
         Free-form diagnostic text from the backend.
     iterations:
-        Solver effort count when the backend reports one — branch-and-bound
-        nodes explored by either backend, ``None`` when there is no such
-        counter (e.g. HiGHS on a pure LP).
+        Solver effort count when the solver reports one — the
+        search-tree nodes HiGHS explored, ``None`` when there is no such
+        counter (a pure LP).
     repaired:
         True when the assignment is a warm start completed by LP
-        (:meth:`~repro.ilp.backends.base.SolverBackend.repair`) rather than
+        (:meth:`~repro.ilp.backends.highs.HighsBackend.repair`) rather than
         the outcome of a search.
     """
 
@@ -123,20 +123,3 @@ class Solution:
         if self.backend:
             parts.append(f"backend={self.backend}")
         return ", ".join(parts)
-
-
-def infeasible_solution(backend: str, message: str = "") -> Solution:
-    """Convenience constructor for an infeasible outcome."""
-    return Solution(status=SolveStatus.INFEASIBLE, backend=backend, message=message)
-
-
-def error_solution(backend: str, message: str) -> Solution:
-    """Convenience constructor for a backend failure."""
-    return Solution(status=SolveStatus.ERROR, backend=backend, message=message)
-
-
-def evaluate_assignment(
-    assignment: Mapping[Variable, float], expr: ExprLike
-) -> float:
-    """Evaluate an expression under an explicit assignment mapping."""
-    return LinExpr.from_value(expr).value(assignment)

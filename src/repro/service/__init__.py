@@ -53,7 +53,6 @@ from repro.service.http import (
     LayoutHTTPServer,
     TERMINAL_EVENT_KINDS,
     make_server,
-    serve_in_thread,
 )
 from repro.service.queue import (
     JOB_STATES,
@@ -97,6 +96,5 @@ __all__ = [
     "job_from_document",
     "job_to_document",
     "make_server",
-    "serve_in_thread",
     "sweep_from_document",
 ]

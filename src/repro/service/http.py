@@ -73,7 +73,6 @@ any number of SSE streams can idle while submissions keep flowing.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
@@ -463,16 +462,3 @@ def make_server(
     ``server.server_address``.
     """
     return LayoutHTTPServer((host, port), scheduler, quiet=quiet)
-
-
-def serve_in_thread(
-    scheduler: LayoutScheduler,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    quiet: bool = True,
-) -> Tuple[LayoutHTTPServer, threading.Thread]:
-    """Bind and serve on a background thread (used by tests and clients)."""
-    server = make_server(scheduler, host, port, quiet=quiet)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread

@@ -1,16 +1,8 @@
-"""Unit tests for pairwise overlap / spacing analysis."""
+"""Unit tests for pairwise overlap analysis."""
 
 import pytest
 
-from repro.geometry import (
-    Rect,
-    all_inside,
-    find_overlaps,
-    overlap_extents,
-    packing_density,
-    spacing_violations,
-    total_overlap_area,
-)
+from repro.geometry import Rect, find_overlaps, overlap_extents
 
 
 @pytest.fixture
@@ -41,39 +33,3 @@ class TestFindOverlaps:
     def test_ignore_pairs(self, rects):
         reports = find_overlaps(rects, ignore_pairs=[("b", "a")])
         assert reports == []
-
-    def test_total_overlap_area(self, rects):
-        assert total_overlap_area(rects) == pytest.approx(4.0)
-
-
-class TestSpacingViolations:
-    def test_close_pair_reported(self):
-        rects = {"a": Rect(0, 0, 10, 10), "b": Rect(15, 0, 25, 10)}
-        violations = spacing_violations(rects, required_spacing=10.0)
-        assert len(violations) == 1
-        assert violations[0][2] == pytest.approx(5.0)
-
-    def test_far_pair_not_reported(self):
-        rects = {"a": Rect(0, 0, 10, 10), "b": Rect(25, 0, 35, 10)}
-        assert spacing_violations(rects, required_spacing=10.0) == []
-
-    def test_ignore_pairs_respected(self):
-        rects = {"a": Rect(0, 0, 10, 10), "b": Rect(12, 0, 20, 10)}
-        assert (
-            spacing_violations(rects, required_spacing=10.0, ignore_pairs=[("a", "b")])
-            == []
-        )
-
-
-class TestContainmentAndDensity:
-    def test_all_inside(self):
-        boundary = Rect(0, 0, 100, 100)
-        assert all_inside([Rect(1, 1, 50, 50)], boundary)
-        assert not all_inside([Rect(90, 90, 110, 95)], boundary)
-
-    def test_packing_density(self):
-        boundary = Rect(0, 0, 10, 10)
-        assert packing_density([Rect(0, 0, 5, 10)], boundary) == pytest.approx(0.5)
-
-    def test_density_of_degenerate_boundary(self):
-        assert packing_density([Rect(0, 0, 1, 1)], Rect(0, 0, 0, 0)) == 0.0

@@ -1,16 +1,21 @@
-"""Tests of the two MILP backends, including cross-checks between them."""
+"""Tests of the HiGHS solver, cross-checked against an exhaustive oracle.
+
+The oracle (``tests/milp_oracle.py``) enumerates every integer point and
+every vertex of the continuous columns with numpy; it never calls HiGHS.
+"""
 
 from types import SimpleNamespace
 
 import pytest
 
+from milp_oracle import oracle_solve
 from repro.errors import SolverError
-from repro.ilp import Model, SolveStatus, available_backends, get_backend
+from repro.ilp import Model, SolveStatus
 from repro.ilp.backends import highs as highs_module
-from repro.ilp.backends.branch_bound import BranchAndBoundBackend
 from repro.ilp.backends.highs import HighsBackend
 
-BACKENDS = ("highs", "branch-and-bound")
+#: HiGHS (through ``Model.solve``) and the oracle, by name.
+SOLVERS = {"highs": lambda model: model.solve(), "oracle": oracle_solve}
 
 
 def knapsack_model(weights, values, capacity):
@@ -25,25 +30,26 @@ def knapsack_model(weights, values, capacity):
     return model, items
 
 
-class TestBackendRegistry:
-    def test_available_backends(self):
-        assert set(available_backends()) == {"highs", "branch-and-bound"}
+def mixed_model():
+    """One continuous, one binary and one integer column; optimum 18."""
+    model = Model()
+    x = model.add_continuous("x", ub=10)
+    b = model.add_binary("b")
+    n = model.add_integer("n", ub=3)
+    model.add_constraint(x + 4 * b + 2 * n <= 9)
+    model.add_constraint(x >= n)
+    model.set_objective(2 * x + 3 * b + n, sense="max")
+    return model
 
-    def test_aliases_resolve(self):
-        assert isinstance(get_backend("scipy"), HighsBackend)
-        assert isinstance(get_backend("bnb"), BranchAndBoundBackend)
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError):
-            get_backend("gurobi")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SOLVERS)
 class TestBothBackends:
+    """Known optima, reached by HiGHS and by the oracle."""
+
     def test_knapsack_optimum(self, backend):
         # Best bundle: items with weights 4 and 6 (values 5 + 9 = 14).
         model, items = knapsack_model([3, 4, 5, 6], [4, 5, 6, 9], capacity=10)
-        solution = model.solve(backend=backend)
+        solution = SOLVERS[backend](model)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(14.0)
 
@@ -52,14 +58,14 @@ class TestBothBackends:
         n = model.add_integer("n", lb=0, ub=10)
         model.add_constraint(2 * n <= 7)
         model.set_objective(n, sense="max")
-        solution = model.solve(backend=backend)
+        solution = SOLVERS[backend](model)
         assert solution.value(n) == pytest.approx(3.0)
 
     def test_infeasible_detection(self, backend):
         model = Model()
         x = model.add_continuous("x", lb=0, ub=1)
         model.add_constraint(x >= 2)
-        solution = model.solve(backend=backend)
+        solution = SOLVERS[backend](model)
         assert solution.status is SolveStatus.INFEASIBLE
         assert not solution.is_feasible
 
@@ -69,14 +75,14 @@ class TestBothBackends:
         y = model.add_continuous("y", ub=4)
         model.add_constraint(x + y <= 6)
         model.set_objective(x + 3 * y, sense="max")
-        solution = model.solve(backend=backend)
+        solution = SOLVERS[backend](model)
         assert solution.objective == pytest.approx(14.0)
 
     def test_minimisation(self, backend):
         model = Model()
         x = model.add_continuous("x", lb=2, ub=9)
         model.set_objective(5 * x, sense="min")
-        solution = model.solve(backend=backend)
+        solution = SOLVERS[backend](model)
         assert solution.objective == pytest.approx(10.0)
 
     def test_equality_constraints(self, backend):
@@ -86,7 +92,7 @@ class TestBothBackends:
         model.add_constraint(x + y == 7)
         model.add_constraint(x - y == 1)
         model.set_objective(x, sense="min")
-        solution = model.solve(backend=backend)
+        solution = SOLVERS[backend](model)
         assert solution.value(x) == pytest.approx(4.0)
         assert solution.value(y) == pytest.approx(3.0)
 
@@ -102,12 +108,24 @@ class TestBothBackends:
         model.set_objective(
             sum(cost * assign[key] for key, cost in costs.items()), sense="min"
         )
-        solution = model.solve(backend=backend)
+        solution = SOLVERS[backend](model)
         assert solution.objective == pytest.approx(3.0)
         assert solution.value(assign[(0, 0)]) == pytest.approx(1.0)
 
 
 class TestBackendAgreement:
+    """HiGHS and the oracle find the same optimum, or both find none."""
+
+    @staticmethod
+    def agree(model):
+        highs, oracle = model.solve(), oracle_solve(model)
+        assert highs.status is oracle.status
+        if oracle.is_feasible:
+            assert highs.objective == pytest.approx(oracle.objective)
+            assert model.check_solution(highs) == []
+            assert model.check_solution(oracle) == []
+        return highs
+
     @pytest.mark.parametrize(
         "weights,values,capacity",
         [
@@ -117,46 +135,22 @@ class TestBackendAgreement:
         ],
     )
     def test_backends_agree_on_knapsacks(self, weights, values, capacity):
-        results = []
-        for backend in BACKENDS:
-            model, _ = knapsack_model(weights, values, capacity)
-            results.append(model.solve(backend=backend).objective)
-        assert results[0] == pytest.approx(results[1])
+        model, _ = knapsack_model(weights, values, capacity)
+        self.agree(model)
 
     def test_backends_agree_on_mixed_model(self):
-        objectives = []
-        for backend in BACKENDS:
-            model = Model()
-            x = model.add_continuous("x", ub=10)
-            b = model.add_binary("b")
-            n = model.add_integer("n", ub=3)
-            model.add_constraint(x + 4 * b + 2 * n <= 9)
-            model.add_constraint(x >= n)
-            model.set_objective(2 * x + 3 * b + n, sense="max")
-            objectives.append(model.solve(backend=backend).objective)
-        assert objectives[0] == pytest.approx(objectives[1])
+        assert self.agree(mixed_model()).objective == pytest.approx(18.0)
 
-
-class TestBranchAndBoundSpecifics:
-    def test_node_limit_returns_feasible_or_limit(self):
-        model, _ = knapsack_model(list(range(1, 12)), list(range(11, 0, -1)), 17)
-        solution = model.solve(backend="branch-and-bound", max_nodes=3)
-        assert solution.status in (
-            SolveStatus.OPTIMAL,
-            SolveStatus.FEASIBLE,
-            SolveStatus.TIME_LIMIT,
-        )
-
-    def test_unknown_option_rejected(self):
-        model, _ = knapsack_model([1, 2], [1, 2], 2)
-        with pytest.raises(SolverError):
-            model.solve(backend="branch-and-bound", warm_start=True)
-
-    def test_gap_reported(self):
-        model, _ = knapsack_model([3, 4, 5], [4, 5, 6], 9)
-        solution = model.solve(backend="branch-and-bound")
-        assert solution.gap is not None
-        assert solution.gap <= 1e-6
+    def test_backends_agree_on_infeasible_models(self):
+        continuous = Model()
+        x = continuous.add_continuous("x", lb=0, ub=1)
+        continuous.add_constraint(x >= 2)
+        # Feasible as an LP (n = 1.5), infeasible over the integers.
+        integer = Model()
+        n = integer.add_integer("n", lb=0, ub=5)
+        integer.add_constraint(2 * n == 3)
+        for model in (continuous, integer):
+            assert self.agree(model).status is SolveStatus.INFEASIBLE
 
 
 class TestHighsSpecifics:
@@ -164,16 +158,22 @@ class TestHighsSpecifics:
         model = Model()
         model.add_continuous("x", ub=1)
         with pytest.raises(SolverError):
-            model.solve(backend="highs", warm_start=True)
+            model.solve(warm_start=True)
+
+    def test_gap_reported(self):
+        model, _ = knapsack_model([3, 4, 5], [4, 5, 6], 9)
+        solution = model.solve()
+        assert solution.gap is not None
+        assert solution.gap <= 1e-6
 
     def test_time_limit_is_accepted(self):
         model, _ = knapsack_model([2, 3, 4], [3, 4, 5], 6)
-        solution = model.solve(backend="highs", time_limit=10.0)
+        solution = model.solve(time_limit=10.0)
         assert solution.is_feasible
 
     def test_node_limit_without_incumbent_is_a_limit_not_an_error(self, tiny_netlist):
         """HiGHS ends a node-capped search with ``kSolutionLimit``; with no
-        incumbent that reads as ``TIME_LIMIT``, nodes counted, as in B&B."""
+        incumbent that reads as ``TIME_LIMIT``, with the nodes counted."""
         from repro.core.config import PILPConfig
         from repro.core.model_builder import BuildOptions, RficModelBuilder
 
@@ -182,7 +182,7 @@ class TestHighsSpecifics:
             exact_lengths=True,
         )
         model = RficModelBuilder(tiny_netlist, PILPConfig.fast(), options).build().model
-        solution = model.solve(backend="highs", node_limit=20)
+        solution = model.solve(node_limit=20)
         assert solution.status is SolveStatus.TIME_LIMIT
         assert solution.iterations == 20
 
@@ -194,60 +194,53 @@ class TestHighsSpecifics:
 
 
 class TestWarmStarts:
-    """Warm-started solves must agree with cold solves on the optimum."""
+    """Warm-started solves reach the oracle's optimum."""
 
     def _model(self):
         return knapsack_model([3, 4, 5, 6], [4, 5, 6, 9], capacity=10)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_feasible_warm_start_reaches_same_optimum(self, backend):
+    def test_feasible_warm_start_reaches_same_optimum(self):
         model, items = self._model()
-        cold = model.solve(backend=backend)
         # Feasible but sub-optimal start: take only item 0.
         warm = {items[0]: 1.0, items[1]: 0.0, items[2]: 0.0, items[3]: 0.0}
-        warm_solution = model.solve(backend=backend, warm_start=warm)
+        warm_solution = model.solve(warm_start=warm)
         assert warm_solution.status is SolveStatus.OPTIMAL
-        assert warm_solution.objective == pytest.approx(cold.objective)
+        assert warm_solution.objective == pytest.approx(oracle_solve(model).objective)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_infeasible_warm_start_is_only_a_seed(self, backend):
+    def test_infeasible_warm_start_is_only_a_seed(self):
         model, items = self._model()
         # Violates the capacity constraint; must not poison the result.
         warm = {item: 1.0 for item in items}
-        solution = model.solve(backend=backend, warm_start=warm)
+        solution = model.solve(warm_start=warm)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(14.0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partial_and_foreign_names_are_tolerated(self, backend):
+    def test_partial_and_foreign_names_are_tolerated(self):
         model, items = self._model()
         warm = {"item1": 1.0, "does_not_exist": 5.0}
-        solution = model.solve(backend=backend, warm_start=warm)
+        solution = model.solve(warm_start=warm)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(14.0)
 
     def test_backends_agree_on_warm_started_solves(self):
-        model, items = self._model()
-        warm = {items[3]: 1.0}
-        objectives = {
-            backend: model.solve(backend=backend, warm_start=warm).objective
-            for backend in BACKENDS
-        }
-        assert objectives["highs"] == pytest.approx(objectives["branch-and-bound"])
+        for model, warm in (
+            (self._model()[0], {"item3": 1.0}),
+            (mixed_model(), {"x": 1.0, "b": 1.0, "n": 1.0}),
+        ):
+            solution = model.solve(warm_start=warm)
+            assert solution.status is SolveStatus.OPTIMAL
+            assert solution.objective == pytest.approx(oracle_solve(model).objective)
 
     def test_progressive_solve_matches_plain_optimum(self):
         model, _ = self._model()
-        plain = model.solve(backend="highs")
-        progressive = model.solve(
-            backend="highs", time_limit=10.0, progressive=True
-        )
+        plain = model.solve()
+        progressive = model.solve(time_limit=10.0, progressive=True)
         assert progressive.status is SolveStatus.OPTIMAL
         assert progressive.objective == pytest.approx(plain.objective)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestRepair:
-    """``SolverBackend.repair`` keeps the warm start's integer choices and
+    """``HighsBackend.repair`` keeps the warm start's integer choices and
     solves only the remaining LP, on a copy of the bounds."""
 
     def _model(self):
@@ -258,27 +251,53 @@ class TestRepair:
         model.set_objective(x + y, sense="max")
         return model, x, y
 
-    def test_integer_columns_keep_the_warm_start_choice(self, backend):
+    def test_integer_columns_keep_the_warm_start_choice(self):
         model, x, y = self._model()
         lower = model.to_standard_form().lower.copy()
         upper = model.to_standard_form().upper.copy()
-        solution = get_backend(backend).repair(model, {y: 0.2, x: 7.0})
+        solution = HighsBackend().repair(model, {y: 0.2, x: 7.0})
         assert solution.status is SolveStatus.FEASIBLE
         assert solution.value(y) == 0.0
         assert solution.value(x) == pytest.approx(3.0)
         assert solution.objective == pytest.approx(3.0)
-        assert solution.backend == get_backend(backend).name
+        assert solution.backend == "highs"
         form = model.to_standard_form()
         assert (form.lower == lower).all() and (form.upper == upper).all()
-        assert model.solve(backend=backend).objective == pytest.approx(9.0)
+        assert model.solve().objective == pytest.approx(9.0)
+        assert oracle_solve(model).objective == pytest.approx(9.0)
 
-    def test_unmatched_warm_start_gives_none(self, backend):
+    def test_unmatched_warm_start_gives_none(self):
         model, _, _ = self._model()
-        assert get_backend(backend).repair(model, {"does_not_exist": 1.0}) is None
+        assert HighsBackend().repair(model, {"does_not_exist": 1.0}) is None
 
-    def test_infeasible_pinned_lp_gives_none(self, backend):
+    def test_infeasible_pinned_lp_gives_none(self):
         model, items = knapsack_model([3, 4, 5, 6], [4, 5, 6, 9], capacity=10)
-        assert get_backend(backend).repair(model, {item: 1.0 for item in items}) is None
+        assert HighsBackend().repair(model, {item: 1.0 for item in items}) is None
+
+
+class TestOracle:
+    def test_the_oracle_never_calls_highs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called HiGHS")
+
+        monkeypatch.setattr(highs_module, "run", refuse)
+        monkeypatch.setattr(highs_module, "lower", refuse)
+        model, _ = knapsack_model([3, 4, 5, 6], [4, 5, 6, 9], capacity=10)
+        assert oracle_solve(model).objective == pytest.approx(14.0)
+        assert oracle_solve(mixed_model()).objective == pytest.approx(18.0)
+        with pytest.raises(AssertionError, match="called HiGHS"):
+            model.solve()
+
+    def test_models_it_cannot_enumerate_are_refused(self):
+        unbounded = Model()
+        unbounded.add_continuous("x")
+        with pytest.raises(ValueError, match="finite bounds"):
+            oracle_solve(unbounded)
+        wide = Model()
+        for index in range(3):
+            wide.add_continuous(f"x{index}", ub=1)
+        with pytest.raises(ValueError, match="continuous columns"):
+            oracle_solve(wide)
 
 
 class TestStallMonitor:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ModelError
-from repro.ilp import LinExpr, Model, Sense, VarType, quicksum
+from repro.ilp import LinExpr, Model, Sense, VarType, lin_sum
 from repro.ilp.expr import Constraint
 
 
@@ -108,9 +108,9 @@ class TestLinExprArithmetic:
         expr = x - x
         assert expr.coeffs == {}
 
-    def test_quicksum(self, model):
+    def test_lin_sum(self, model):
         xs = [model.add_continuous(f"x{i}") for i in range(5)]
-        expr = quicksum(xs)
+        expr = lin_sum(xs)
         assert len(expr.coeffs) == 5
         assert all(coeff == 1.0 for coeff in expr.coeffs.values())
 

@@ -1,21 +1,9 @@
-"""Tests of the big-M / product / absolute-value linearisation helpers."""
+"""Tests of the linearisation helpers the model builder uses."""
 
 import pytest
 
 from repro.errors import ModelError
-from repro.ilp import (
-    Model,
-    SolveStatus,
-    absolute_value,
-    at_most_one,
-    disjunction_at_least_one,
-    equal_if,
-    exactly_one,
-    geq_if,
-    leq_if,
-    max_envelope,
-    product_binary_continuous,
-)
+from repro.ilp import Model, equal_if, exactly_one
 
 
 class TestEqualIf:
@@ -47,86 +35,6 @@ class TestEqualIf:
             equal_if(model, not_binary, x, 1.0)
 
 
-class TestConditionalInequalities:
-    def test_leq_if(self):
-        model = Model()
-        switch = model.add_binary("s")
-        x = model.add_continuous("x", ub=50)
-        leq_if(model, switch, x, 10.0, big_m=100)
-        model.add_constraint(switch >= 1)
-        model.set_objective(x, sense="max")
-        assert model.solve().value(x) == pytest.approx(10.0)
-
-    def test_geq_if(self):
-        model = Model()
-        switch = model.add_binary("s")
-        x = model.add_continuous("x", ub=50)
-        geq_if(model, switch, x, 10.0, big_m=100)
-        model.add_constraint(switch >= 1)
-        model.set_objective(x, sense="min")
-        assert model.solve().value(x) == pytest.approx(10.0)
-
-
-class TestProduct:
-    @pytest.mark.parametrize("binary_value,expected", [(1, 7.0), (0, 0.0)])
-    def test_product_tracks_binary(self, binary_value, expected):
-        model = Model()
-        b = model.add_binary("b")
-        x = model.add_continuous("x", ub=20)
-        z = product_binary_continuous(model, b, x, lower=0.0, upper=20.0)
-        model.add_constraint(b >= binary_value)
-        model.add_constraint(b <= binary_value)
-        model.add_constraint(x.to_expr() == 7.0)
-        model.set_objective(z, sense="max")
-        solution = model.solve()
-        assert solution.value(z) == pytest.approx(expected)
-
-    def test_invalid_bounds_rejected(self):
-        model = Model()
-        b = model.add_binary("b")
-        x = model.add_continuous("x")
-        with pytest.raises(ModelError):
-            product_binary_continuous(model, b, x, lower=5.0, upper=1.0)
-
-
-class TestAbsoluteValue:
-    @pytest.mark.parametrize("value", [-12.0, 0.0, 9.5])
-    def test_exact_absolute_value(self, value):
-        model = Model()
-        x = model.add_continuous("x", lb=-50, ub=50)
-        model.add_constraint(x.to_expr() == value)
-        abs_var = absolute_value(model, x, bound=60.0, exact=True)
-        # Maximising shows the value is pinned, not just lower-bounded.
-        model.set_objective(abs_var, sense="max")
-        solution = model.solve()
-        assert solution.value(abs_var) == pytest.approx(abs(value), abs=1e-5)
-
-    def test_envelope_under_minimisation(self):
-        model = Model()
-        x = model.add_continuous("x", lb=-50, ub=50)
-        model.add_constraint(x.to_expr() == -8.0)
-        abs_var = absolute_value(model, x, bound=60.0, exact=False)
-        model.set_objective(abs_var, sense="min")
-        assert model.solve().value(abs_var) == pytest.approx(8.0)
-
-
-class TestMaxEnvelope:
-    def test_max_under_minimisation(self):
-        model = Model()
-        x = model.add_continuous("x", ub=10)
-        y = model.add_continuous("y", ub=10)
-        model.add_constraint(x.to_expr() == 3.0)
-        model.add_constraint(y.to_expr() == 7.0)
-        env = max_envelope(model, [x, y], upper=20.0)
-        model.set_objective(env, sense="min")
-        assert model.solve().value(env) == pytest.approx(7.0)
-
-    def test_empty_input_rejected(self):
-        model = Model()
-        with pytest.raises(ModelError):
-            max_envelope(model, [])
-
-
 class TestCardinalityHelpers:
     def test_exactly_one(self):
         model = Model()
@@ -136,20 +44,6 @@ class TestCardinalityHelpers:
         solution = model.solve()
         assert sum(solution.value(b) for b in binaries) == pytest.approx(1.0)
         assert solution.value(binaries[3]) == pytest.approx(1.0)
-
-    def test_at_most_one(self):
-        model = Model()
-        binaries = [model.add_binary(f"b{i}") for i in range(3)]
-        at_most_one(model, binaries)
-        model.set_objective(sum(binaries), sense="max")
-        assert model.solve().objective == pytest.approx(1.0)
-
-    def test_disjunction_at_least_one(self):
-        model = Model()
-        selectors = [model.add_binary(f"u{i}") for i in range(4)]
-        disjunction_at_least_one(model, selectors)
-        model.set_objective(sum(selectors), sense="max")
-        assert model.solve().objective == pytest.approx(3.0)
 
     def test_non_binary_members_rejected(self):
         model = Model()

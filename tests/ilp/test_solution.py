@@ -1,11 +1,10 @@
-"""Tests for solution objects and the infeasibility diagnostics."""
+"""Tests for solution objects."""
 
 import pytest
 
 from repro.errors import ModelError
 from repro.ilp import Model, SolveStatus
-from repro.ilp.diagnostics import elastic_relaxation
-from repro.ilp.solution import Solution, error_solution, infeasible_solution
+from repro.ilp.solution import Solution
 
 
 class TestSolutionObject:
@@ -26,7 +25,7 @@ class TestSolutionObject:
         assert solution.as_name_dict() == {"x": pytest.approx(2.0)}
 
     def test_value_requires_feasibility(self):
-        solution = infeasible_solution("highs")
+        solution = Solution(status=SolveStatus.INFEASIBLE, backend="highs")
         model = Model()
         x = model.add_continuous("x")
         with pytest.raises(ModelError):
@@ -42,8 +41,7 @@ class TestSolutionObject:
             solution.value(other)
 
     def test_error_solution_flags(self):
-        solution = error_solution("highs", "boom")
-        assert solution.status is SolveStatus.ERROR
+        solution = Solution(status=SolveStatus.ERROR, backend="highs", message="boom")
         assert not solution.is_feasible
         assert not solution.is_optimal
 
@@ -55,44 +53,3 @@ class TestSolutionObject:
         )
         assert solution.is_feasible
         assert not solution.is_optimal
-
-
-class TestElasticRelaxation:
-    def test_feasible_model_needs_no_slack(self):
-        model = Model()
-        x = model.add_continuous("x", ub=10)
-        model.add_constraint(x <= 5, name="cap")
-        report = elastic_relaxation(model)
-        assert report.feasible_without_slack
-        assert report.total_slack == pytest.approx(0.0)
-
-    def test_conflicting_bounds_are_reported(self):
-        model = Model()
-        x = model.add_continuous("x", lb=0, ub=4)
-        model.add_constraint(x >= 6, name="too-high")
-        report = elastic_relaxation(model)
-        assert not report.feasible_without_slack
-        assert "too-high" in report.violated_names()
-        assert report.total_slack == pytest.approx(2.0, abs=1e-4)
-
-    def test_conflicting_equalities_reported(self):
-        model = Model()
-        x = model.add_continuous("x", ub=10)
-        model.add_constraint(x.to_expr() == 2, name="first")
-        model.add_constraint(x.to_expr() == 5, name="second")
-        report = elastic_relaxation(model)
-        assert not report.feasible_without_slack
-        # One of the two equalities must absorb the 3-unit gap.
-        assert report.total_slack == pytest.approx(3.0, abs=1e-4)
-
-    def test_integer_only_conflict_found_with_milp_relaxation(self):
-        model = Model()
-        b1 = model.add_binary("b1")
-        b2 = model.add_binary("b2")
-        model.add_constraint(b1 + b2 == 1, name="pick-one")
-        model.add_constraint(b1 >= 1, name="force-b1")
-        model.add_constraint(b2 >= 1, name="force-b2")
-        lp_report = elastic_relaxation(model, relax_integrality=True)
-        milp_report = elastic_relaxation(model, relax_integrality=False)
-        assert not lp_report.feasible_without_slack or not milp_report.feasible_without_slack
-        assert not milp_report.feasible_without_slack

@@ -1,9 +1,10 @@
-"""Property-based tests for the MILP modelling layer and solver backends."""
+"""Property-based tests for the MILP modelling layer and the HiGHS solver."""
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from milp_oracle import oracle_solve
 from repro.ilp import LinExpr, Model, SolveStatus
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
@@ -81,16 +82,15 @@ class TestSolverProperties:
         )
     )
     def test_backends_agree_on_random_lps(self, rows):
-        """Both backends return the same optimum for random bounded LPs."""
+        """HiGHS and the exhaustive oracle agree on random bounded LPs."""
+        model = Model()
+        x = model.add_continuous("x", lb=-10, ub=10)
+        y = model.add_continuous("y", lb=-10, ub=10)
+        for index, (a, b) in enumerate(rows):
+            model.add_constraint(a * x + b * y <= 25.0, name=f"row{index}")
+        model.set_objective(x + y, sense="max")
         objectives = []
-        for backend in ("highs", "branch-and-bound"):
-            model = Model()
-            x = model.add_continuous("x", lb=-10, ub=10)
-            y = model.add_continuous("y", lb=-10, ub=10)
-            for index, (a, b) in enumerate(rows):
-                model.add_constraint(a * x + b * y <= 25.0, name=f"row{index}")
-            model.set_objective(x + y, sense="max")
-            solution = model.solve(backend=backend)
+        for solution in (model.solve(), oracle_solve(model)):
             assert solution.status is SolveStatus.OPTIMAL
             objectives.append(solution.objective)
         assert math.isclose(objectives[0], objectives[1], rel_tol=1e-6, abs_tol=1e-6)

@@ -111,7 +111,8 @@ def test_every_solve_takes_the_one_highs_path(tiny_netlist, monkeypatch):
     from scipy import optimize
 
     from repro.core.phase1 import build_phase1_model, phase1_seeds
-    from repro.ilp import Model, get_backend
+    from repro.ilp import Model
+    from repro.ilp.backends.highs import HighsBackend
     from repro.ilp.solution import SolveStatus
 
     def refuse(*args, **kwargs):
@@ -124,18 +125,17 @@ def test_every_solve_takes_the_one_highs_path(tiny_netlist, monkeypatch):
     n = mip.add_integer("n", lb=0, ub=10)
     mip.add_constraint(2 * n <= 7)
     mip.set_objective(n, sense="max")
-    assert mip.solve(backend="highs").status is SolveStatus.OPTIMAL
-    assert mip.solve(backend="branch-and-bound").status is SolveStatus.OPTIMAL
+    assert mip.solve().status is SolveStatus.OPTIMAL
 
     lp = Model()
     x = lp.add_continuous("x", ub=4)
     lp.set_objective(x, sense="max")
-    assert lp.solve(backend="highs").objective == pytest.approx(4.0)
+    assert lp.solve().objective == pytest.approx(4.0)
 
     config = PILPConfig.fast()
     seeds = phase1_seeds(tiny_netlist, config)
     build = build_phase1_model(tiny_netlist, config, seeds)
-    repaired = get_backend("highs").repair(build.model, warm_start_from_seeds(build, seeds))
+    repaired = HighsBackend().repair(build.model, warm_start_from_seeds(build, seeds))
     assert repaired is not None and repaired.status is SolveStatus.FEASIBLE
 
 
@@ -175,9 +175,9 @@ def test_a_failed_repair_runs_one_warm_started_search_per_phase(tiny_netlist, mo
     """A pinned LP with no optimum is what makes Phase 1 or Phase 2 search."""
     from repro.core.phase1 import run_phase1
     from repro.core.phase2 import run_phase2
-    from repro.ilp.backends.base import SolverBackend
+    from repro.ilp.backends.highs import HighsBackend
 
-    monkeypatch.setattr(SolverBackend, "repair", lambda self, model, warm_start: None)
+    monkeypatch.setattr(HighsBackend, "repair", lambda self, model, warm_start: None)
     solves = _count_highs_solves(monkeypatch)
     config = PILPConfig.fast()
     phase1 = run_phase1(tiny_netlist, config)
