@@ -2,7 +2,7 @@
 
 from repro.baselines.annealing import AnnealingConfig, AnnealingPlacer
 from repro.baselines.greedy_router import GreedyRouter, GreedyRouterConfig
-from repro.baselines.manual_like import ManualLikeFlow, generate_manual_like_layout
+from repro.baselines.manual_like import ManualLikeFlow
 
 __all__ = [
     "AnnealingPlacer",
@@ -10,5 +10,4 @@ __all__ = [
     "GreedyRouter",
     "GreedyRouterConfig",
     "ManualLikeFlow",
-    "generate_manual_like_layout",
 ]

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import PlacementError
 from repro.circuit.device import Device, Rotation
 from repro.circuit.netlist import Netlist
 from repro.core.seed import seed_placement, spread_boundary_pads

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.circuit.microstrip_net import MicrostripNet
-from repro.circuit.netlist import Netlist
 from repro.geometry.path import ManhattanPath, serpentine_path
 from repro.geometry.point import GEOM_TOL, Point
 from repro.layout.layout import Layout

@@ -58,12 +58,3 @@ class ManualLikeFlow:
             runtime=runtime,
             phases=[],
         )
-
-
-def generate_manual_like_layout(
-    netlist: Netlist,
-    placer_config: Optional[AnnealingConfig] = None,
-    router_config: Optional[GreedyRouterConfig] = None,
-) -> FlowResult:
-    """Convenience function wrapping :class:`ManualLikeFlow`."""
-    return ManualLikeFlow(placer_config, router_config).generate(netlist)

@@ -7,27 +7,14 @@ from repro.circuit.device import (
     Rotation,
     make_capacitor,
     make_dc_pad,
-    make_inductor,
     make_resistor,
     make_rf_pad,
     make_transistor,
 )
 from repro.circuit.microstrip_net import MicrostripNet, Terminal
 from repro.circuit.netlist import LayoutArea, Netlist
-from repro.circuit.loader import (
-    dumps_netlist,
-    load_netlist,
-    loads_netlist,
-    netlist_from_dict,
-    netlist_to_dict,
-    save_netlist,
-)
-from repro.circuit.validate import (
-    Severity,
-    ValidationIssue,
-    assert_valid,
-    validate_netlist,
-)
+from repro.circuit.loader import load_netlist, netlist_from_dict, netlist_to_dict
+from repro.circuit.validate import Severity, ValidationIssue, validate_netlist
 
 __all__ = [
     "Device",
@@ -36,7 +23,6 @@ __all__ = [
     "Rotation",
     "make_transistor",
     "make_capacitor",
-    "make_inductor",
     "make_resistor",
     "make_rf_pad",
     "make_dc_pad",
@@ -46,12 +32,8 @@ __all__ = [
     "LayoutArea",
     "netlist_to_dict",
     "netlist_from_dict",
-    "save_netlist",
     "load_netlist",
-    "dumps_netlist",
-    "loads_netlist",
     "validate_netlist",
-    "assert_valid",
     "ValidationIssue",
     "Severity",
 ]

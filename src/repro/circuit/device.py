@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import NetlistError
 from repro.geometry.point import Point
@@ -159,11 +159,6 @@ class Device:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def half_perimeter(self) -> float:
-        """Half of the outline perimeter; used by the blurred-device model."""
-        return self.width + self.height
-
     def dimensions(self, rotation: Rotation = Rotation.R0) -> Tuple[float, float]:
         """Outline dimensions after rotation (odd turns swap width/height)."""
         if int(rotation) % 2 == 0:
@@ -178,9 +173,6 @@ class Device:
             raise NetlistError(
                 f"device {self.name!r} has no pin {name!r}; available: {sorted(self.pins)}"
             ) from exc
-
-    def pin_names(self) -> List[str]:
-        return sorted(self.pins)
 
     def pin_position(
         self, pin_name: str, center: Point, rotation: Rotation = Rotation.R0
@@ -333,22 +325,6 @@ def make_dc_pad(name: str, size: float = 50.0) -> Device:
         size,
         pins,
         rotatable=False,
-    )
-
-
-def make_inductor(name: str, size: float = 45.0, l_ph: float = 120.0) -> Device:
-    """A small spiral inductor with two interchangeable terminals."""
-    pins = {
-        "P1": Pin("P1", -size / 2.0, 0.0, equivalence_group="terminal"),
-        "P2": Pin("P2", size / 2.0, 0.0, equivalence_group="terminal"),
-    }
-    return Device(
-        name,
-        DeviceType.INDUCTOR,
-        size,
-        size,
-        pins,
-        parameters={"l_ph": l_ph},
     )
 
 

@@ -69,16 +69,6 @@ def netlist_from_dict(data: Mapping[str, object]) -> Netlist:
         raise NetlistError(f"malformed netlist document: {exc}") from exc
 
 
-def save_netlist(netlist: Netlist, path: PathLike, indent: int = 2) -> Path:
-    """Write a netlist to a JSON file and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(netlist_to_dict(netlist), handle, indent=indent, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def load_netlist(path: PathLike) -> Netlist:
     """Read a netlist from a JSON file."""
     path = Path(path)
@@ -89,18 +79,4 @@ def load_netlist(path: PathLike) -> Netlist:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise NetlistError(f"invalid JSON in {path}: {exc}") from exc
-    return netlist_from_dict(data)
-
-
-def dumps_netlist(netlist: Netlist) -> str:
-    """Serialise a netlist to a JSON string."""
-    return json.dumps(netlist_to_dict(netlist), indent=2, sort_keys=True)
-
-
-def loads_netlist(text: str) -> Netlist:
-    """Deserialise a netlist from a JSON string."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetlistError(f"invalid JSON: {exc}") from exc
     return netlist_from_dict(data)

@@ -10,7 +10,7 @@ constraint (13) of the paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import NetlistError
@@ -101,21 +101,6 @@ class MicrostripNet:
     def connects(self, device_name: str) -> bool:
         """True when either terminal lands on the named device."""
         return self.start.device == device_name or self.end.device == device_name
-
-    def other_terminal(self, device_name: str) -> Terminal:
-        """The terminal *not* on the named device.
-
-        Raises :class:`NetlistError` if the device is on neither or both ends.
-        """
-        on_start = self.start.device == device_name
-        on_end = self.end.device == device_name
-        if on_start and not on_end:
-            return self.end
-        if on_end and not on_start:
-            return self.start
-        raise NetlistError(
-            f"microstrip {self.name!r} does not connect {device_name!r} exactly once"
-        )
 
     # -- serialisation ------------------------------------------------------ #
 

@@ -8,14 +8,14 @@ required exact length of every microstrip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 import networkx as nx
 
 from repro.errors import NetlistError
-from repro.circuit.device import Device, DeviceType
-from repro.circuit.microstrip_net import MicrostripNet, Terminal
+from repro.circuit.device import Device
+from repro.circuit.microstrip_net import MicrostripNet
 from repro.geometry.rect import Rect
 from repro.tech.technology import Technology, default_technology
 
@@ -41,10 +41,6 @@ class LayoutArea:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def aspect_ratio(self) -> float:
-        return self.width / self.height
 
     def scaled(self, factor: float) -> "LayoutArea":
         """Return an area scaled uniformly by ``factor`` (same aspect ratio)."""
@@ -234,21 +230,6 @@ class Netlist:
                 target_length=net.target_length,
             )
         return graph
-
-    def with_area(self, area: LayoutArea) -> "Netlist":
-        """Return a copy of the netlist targeting a different layout area.
-
-        Table 1 evaluates every circuit under two area settings; this helper
-        produces the second setting without rebuilding the whole netlist.
-        """
-        return Netlist(
-            name=self.name,
-            devices=self.devices,
-            microstrips=self.microstrips,
-            area=area,
-            technology=self.technology,
-            operating_frequency_ghz=self.operating_frequency_ghz,
-        )
 
     def summary(self) -> Dict[str, object]:
         """Key statistics for reports (matches the columns of Table 1)."""

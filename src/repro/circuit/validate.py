@@ -18,7 +18,6 @@ from typing import List
 
 import networkx as nx
 
-from repro.errors import NetlistError
 from repro.circuit.netlist import Netlist
 
 
@@ -51,16 +50,6 @@ def validate_netlist(netlist: Netlist) -> List[ValidationIssue]:
     issues.extend(_check_area_budget(netlist))
     issues.extend(_check_connectivity(netlist))
     return issues
-
-
-def assert_valid(netlist: Netlist) -> None:
-    """Raise :class:`NetlistError` if any ERROR-severity issue is found."""
-    errors = [
-        issue for issue in validate_netlist(netlist) if issue.severity is Severity.ERROR
-    ]
-    if errors:
-        summary = "; ".join(str(issue) for issue in errors)
-        raise NetlistError(f"netlist {netlist.name!r} failed validation: {summary}")
 
 
 # ------------------------------------------------------------------------- #

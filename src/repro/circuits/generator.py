@@ -23,9 +23,8 @@ path, so the same object drives Table 1 (layout quality) and Figure 11
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetlistError

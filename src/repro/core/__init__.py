@@ -17,7 +17,7 @@ from repro.core.model_builder import (
     SegmentVars,
 )
 from repro.core.result import FlowResult, PhaseResult
-from repro.core.exact import ExactLayoutGenerator, generate_exact_layout
+from repro.core.exact import ExactLayoutGenerator
 from repro.core.phase1 import run_phase1
 from repro.core.phase2 import run_phase2
 from repro.core.phase3 import (
@@ -26,7 +26,7 @@ from repro.core.phase3 import (
     run_phase3,
     run_phase3_iteration,
 )
-from repro.core.pilp import PILPLayoutGenerator, generate_pilp_layout
+from repro.core.pilp import PILPLayoutGenerator
 from repro.core.warm_start import (
     warm_start_from_geometry,
     warm_start_from_seeds,
@@ -53,9 +53,7 @@ __all__ = [
     "FlowResult",
     "PhaseResult",
     "ExactLayoutGenerator",
-    "generate_exact_layout",
     "PILPLayoutGenerator",
-    "generate_pilp_layout",
     "run_phase1",
     "run_phase2",
     "run_phase3",

@@ -303,10 +303,3 @@ class ExactLayoutGenerator:
             phases=[phase],
             timings=timings,
         )
-
-
-def generate_exact_layout(
-    netlist: Netlist, config: Optional[PILPConfig] = None
-) -> FlowResult:
-    """Convenience function wrapping :class:`ExactLayoutGenerator`."""
-    return ExactLayoutGenerator(config).generate(netlist)

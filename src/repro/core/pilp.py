@@ -257,10 +257,3 @@ def _geometry(layout: Layout) -> Dict[str, object]:
 
 def _doc_or_none(layout: Optional[Layout]) -> Optional[Dict[str, object]]:
     return layout_to_dict(layout) if layout is not None else None
-
-
-def generate_pilp_layout(
-    netlist: Netlist, config: Optional[PILPConfig] = None
-) -> FlowResult:
-    """Convenience function wrapping :class:`PILPLayoutGenerator`."""
-    return PILPLayoutGenerator(config).generate(netlist)

@@ -22,11 +22,12 @@ class ModelError(ReproError):
 
 
 class SolverError(ReproError):
-    """Raised when a solver backend fails unexpectedly.
+    """Raised when the HiGHS solver fails unexpectedly.
 
-    This covers internal backend failures (for instance SciPy reporting a
-    numerical breakdown), not ordinary infeasible or unbounded outcomes,
-    which are reported through the solution status instead.
+    This covers failures around the bundled HiGHS binding (the binding is
+    missing, an option is unknown, or HiGHS rejects the options or the
+    model), not ordinary infeasible or unbounded outcomes, which are
+    reported through the solution status instead.
     """
 
 
@@ -62,16 +63,8 @@ class LayoutError(ReproError):
     """
 
 
-class DRCError(LayoutError):
-    """Raised when a caller requires a DRC-clean layout but violations exist."""
-
-
 class RoutingError(ReproError):
     """Raised when a router cannot produce a legal routing."""
-
-
-class PlacementError(ReproError):
-    """Raised when a placer cannot produce a legal placement."""
 
 
 class RFError(ReproError):

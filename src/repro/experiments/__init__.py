@@ -10,7 +10,6 @@ from repro.experiments.paper_data import (
 from repro.experiments.report import (
     format_runtime,
     format_text_table,
-    save_csv,
     save_json,
 )
 from repro.experiments.table1 import (
@@ -36,7 +35,6 @@ __all__ = [
     "format_text_table",
     "format_runtime",
     "save_json",
-    "save_csv",
     "Table1Row",
     "Table1Result",
     "run_table1",

@@ -18,7 +18,7 @@ return-loss curves remain comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -101,7 +101,7 @@ class Figure11Result:
         return self.pilp.gain_db_at_f0 >= self.manual.gain_db_at_f0 - tolerance_db
 
     def series_dict(self) -> Dict[str, object]:
-        """Full frequency series (for CSV/JSON export and plotting)."""
+        """Full frequency series (for JSON export and plotting)."""
         return {
             "circuit": self.circuit,
             "frequencies_ghz": (self.designed.sparameters.frequencies / 1e9).tolist(),

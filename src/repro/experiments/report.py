@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 PathLike = Union[str, Path]
 
@@ -57,22 +56,6 @@ def save_json(data: object, path: PathLike) -> Path:
     with path.open("w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=True, default=_json_default)
         handle.write("\n")
-    return path
-
-
-def save_csv(rows: Sequence[Mapping[str, object]], path: PathLike) -> Path:
-    """Write a list of dictionaries as CSV (columns from the first row)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return path
-    columns = list(rows[0].keys())
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({column: row.get(column) for column in columns})
     return path
 
 

@@ -4,11 +4,7 @@ from repro.geometry.point import GEOM_TOL, Point, collinear_axis, midpoint
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.geometry.path import ManhattanPath, serpentine_path
-from repro.geometry.overlap import (
-    OverlapReport,
-    find_overlaps,
-    overlap_extents,
-)
+from repro.geometry.overlap import overlap_extents
 
 __all__ = [
     "GEOM_TOL",
@@ -19,7 +15,5 @@ __all__ = [
     "Segment",
     "ManhattanPath",
     "serpentine_path",
-    "OverlapReport",
     "overlap_extents",
-    "find_overlaps",
 ]

@@ -9,8 +9,8 @@ shortcut) outline of Figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import GEOM_TOL, Point, collinear_axis
@@ -72,11 +72,6 @@ class ManhattanPath:
     @property
     def end(self) -> Point:
         return self.points[-1]
-
-    @property
-    def num_chain_points(self) -> int:
-        """Number of chain points, including the two end connections."""
-        return len(self.points)
 
     # -- metrics ------------------------------------------------------------------
 
@@ -151,16 +146,6 @@ class ManhattanPath:
             result.append(here)
         result.append(self.points[-1])
         return ManhattanPath(result, self.width)
-
-    def with_point_inserted(self, index: int, point: Point) -> "ManhattanPath":
-        """Return a new path with ``point`` inserted before position ``index``."""
-        if not 1 <= index <= len(self.points) - 1:
-            raise GeometryError(
-                f"insertion index {index} outside the interior of the path"
-            )
-        pts = list(self.points)
-        pts.insert(index, point)
-        return ManhattanPath(pts, self.width)
 
     def reversed(self) -> "ManhattanPath":
         """Return the path traversed end-to-start."""

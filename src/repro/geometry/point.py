@@ -86,14 +86,6 @@ class Point:
             rx, ry = dy, -dx
         return Point(about.x + rx, about.y + ry)
 
-    def mirrored_x(self, axis_x: float = 0.0) -> "Point":
-        """Mirror across the vertical line ``x = axis_x``."""
-        return Point(2.0 * axis_x - self.x, self.y)
-
-    def mirrored_y(self, axis_y: float = 0.0) -> "Point":
-        """Mirror across the horizontal line ``y = axis_y``."""
-        return Point(self.x, 2.0 * axis_y - self.y)
-
     # -- conversion ---------------------------------------------------------
 
     def as_tuple(self) -> Tuple[float, float]:

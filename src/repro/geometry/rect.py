@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import GEOM_TOL, Point
@@ -52,11 +52,6 @@ class Rect:
         return Rect(center.x - half_w, center.y - half_h, center.x + half_w, center.y + half_h)
 
     @staticmethod
-    def from_corners(a: Point, b: Point) -> "Rect":
-        """Build a rectangle from two opposite corners in any order."""
-        return Rect(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-
-    @staticmethod
     def bounding(rects: Iterable["Rect"]) -> "Rect":
         """Return the bounding box of a non-empty collection of rectangles."""
         rects = list(rects)
@@ -87,23 +82,6 @@ class Rect:
     def center(self) -> Point:
         return Point(0.5 * (self.xl + self.xr), 0.5 * (self.yl + self.yu))
 
-    @property
-    def lower_left(self) -> Point:
-        return Point(self.xl, self.yl)
-
-    @property
-    def upper_right(self) -> Point:
-        return Point(self.xr, self.yu)
-
-    def corners(self) -> List[Point]:
-        """Return the four corners counter-clockwise from the lower left."""
-        return [
-            Point(self.xl, self.yl),
-            Point(self.xr, self.yl),
-            Point(self.xr, self.yu),
-            Point(self.xl, self.yu),
-        ]
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         """Return ``(xl, yl, xr, yu)``."""
         return (self.xl, self.yl, self.xr, self.yu)
@@ -132,16 +110,6 @@ class Rect:
     def translated(self, dx: float, dy: float) -> "Rect":
         """Return the rectangle shifted by ``(dx, dy)``."""
         return Rect(self.xl + dx, self.yl + dy, self.xr + dx, self.yu + dy)
-
-    def rotated_about_center(self, quarter_turns: int) -> "Rect":
-        """Rotate about the centre by a multiple of 90°.
-
-        Odd quarter turns swap width and height, which is exactly how device
-        rotation is modelled in Phase 3 of the paper.
-        """
-        if quarter_turns % 2 == 0:
-            return self
-        return Rect.from_center(self.center, self.height, self.width)
 
     # -- predicates ------------------------------------------------------------
 
@@ -184,33 +152,6 @@ class Rect:
         if xr < xl or yu < yl:
             return None
         return Rect(xl, yl, xr, yu)
-
-    def overlap_area(self, other: "Rect") -> float:
-        """Area of the intersection (0.0 when disjoint)."""
-        common = self.intersection(other)
-        return common.area if common is not None else 0.0
-
-    def separation(self, other: "Rect") -> float:
-        """Minimum axis-wise gap between two rectangles.
-
-        Returns a negative value when the rectangles overlap (the magnitude
-        is the smaller of the two overlap dimensions), zero when they touch,
-        and the rectilinear gap otherwise.  This is the quantity checked by
-        the spacing rule: ``separation >= required_spacing``.
-        """
-        gap_x = max(self.xl, other.xl) - min(self.xr, other.xr)
-        gap_y = max(self.yl, other.yl) - min(self.yr_alias(), other.yr_alias())
-        if gap_x >= 0 and gap_y >= 0:
-            return math.hypot(gap_x, gap_y)
-        if gap_x >= 0:
-            return gap_x
-        if gap_y >= 0:
-            return gap_y
-        return max(gap_x, gap_y)
-
-    def yr_alias(self) -> float:
-        """Alias for the top edge, used internally for symmetric formulas."""
-        return self.yu
 
     def __contains__(self, point: Point) -> bool:
         return self.contains_point(point)

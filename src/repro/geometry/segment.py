@@ -8,7 +8,6 @@ rectangle, which is what the spacing and planarity rules operate on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import GeometryError
@@ -92,15 +91,6 @@ class Segment:
 
     # -- geometric queries -----------------------------------------------------
 
-    def point_at(self, fraction: float) -> Point:
-        """Return the centre-line point at a fractional position in [0, 1]."""
-        if not 0.0 <= fraction <= 1.0:
-            raise GeometryError(f"fraction must lie in [0, 1], got {fraction}")
-        return Point(
-            self.start.x + fraction * (self.end.x - self.start.x),
-            self.start.y + fraction * (self.end.y - self.start.y),
-        )
-
     def reversed(self) -> "Segment":
         """Return the segment traversed in the opposite direction."""
         return Segment(self.end, self.start, self.width)
@@ -155,13 +145,3 @@ class Segment:
             endpoints = [self.start, self.end, other.start, other.end]
             return not any(joint.is_close(p, tolerance) for p in endpoints)
         return True
-
-    def distance_to_point(self, point: Point) -> float:
-        """Euclidean distance from the centre-line to a point."""
-        x_lo = min(self.start.x, self.end.x)
-        x_hi = max(self.start.x, self.end.x)
-        y_lo = min(self.start.y, self.end.y)
-        y_hi = max(self.start.y, self.end.y)
-        dx = max(x_lo - point.x, 0.0, point.x - x_hi)
-        dy = max(y_lo - point.y, 0.0, point.y - y_hi)
-        return math.hypot(dx, dy)

@@ -49,7 +49,7 @@ class Variable:
     """A single decision variable owned by a :class:`~repro.ilp.model.Model`.
 
     Variables are created through :meth:`Model.add_var` (or the convenience
-    wrappers ``add_binary`` / ``add_integer`` / ``add_continuous``); they
+    wrappers ``add_binary`` / ``add_continuous``); they
     should not be instantiated directly by user code.
 
     Parameters

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -163,12 +163,6 @@ class Model:
         """Add a continuous variable with the given bounds."""
         return self.add_var(name, lb, ub, VarType.CONTINUOUS)
 
-    def add_integer(
-        self, name: str = "", lb: float = 0.0, ub: float = float("inf")
-    ) -> Variable:
-        """Add a general integer variable with the given bounds."""
-        return self.add_var(name, lb, ub, VarType.INTEGER)
-
     def add_binary(self, name: str = "") -> Variable:
         """Add a 0-1 variable."""
         return self.add_var(name, 0.0, 1.0, VarType.BINARY)
@@ -242,16 +236,6 @@ class Model:
         self._constraints_cache = None
         return len(rows)
 
-    def add_constraints(
-        self, constraints: Iterable[Constraint], prefix: str = ""
-    ) -> List[Constraint]:
-        """Register several constraints, optionally sharing a name prefix."""
-        added = []
-        for idx, constraint in enumerate(constraints):
-            name = f"{prefix}[{idx}]" if prefix else ""
-            added.append(self.add_constraint(constraint, name))
-        return added
-
     @property
     def constraints(self) -> Sequence[Constraint]:
         """All constraints, materialising compiled batch rows on demand."""
@@ -288,10 +272,6 @@ class Model:
         # model's internal objective would bypass the standard-form cache
         # invalidation that set_objective performs.
         return LinExpr(dict(self._objective.coeffs), self._objective.constant)
-
-    @property
-    def is_maximization(self) -> bool:
-        return self._maximize
 
     def _check_ownership(self, expr: LinExpr) -> None:
         for var in expr.coeffs:

@@ -108,10 +108,6 @@ class Solution:
         expr = LinExpr.from_value(item)
         return expr.value(self.values)
 
-    def as_name_dict(self) -> Dict[str, float]:
-        """Return the assignment keyed by variable name (for reporting)."""
-        return {var.name: value for var, value in self.values.items()}
-
     def summary(self) -> str:
         """One-line human readable description of the solve outcome."""
         parts = [f"status={self.status.value}"]

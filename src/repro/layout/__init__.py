@@ -21,7 +21,6 @@ from repro.layout.smoothing import (
     default_cut_length,
     smooth_layout,
     smooth_route,
-    smoothing_length_change,
 )
 from repro.layout.export_svg import layout_to_svg, save_phase_snapshots, save_svg
 from repro.layout.export_json import (
@@ -48,7 +47,6 @@ __all__ = [
     "smooth_route",
     "smooth_layout",
     "default_cut_length",
-    "smoothing_length_change",
     "layout_to_svg",
     "save_svg",
     "save_phase_snapshots",

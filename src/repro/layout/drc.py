@@ -22,12 +22,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from repro.circuit.netlist import Netlist
 from repro.geometry.overlap import overlap_extents
-from repro.geometry.point import GEOM_TOL, Point
-from repro.geometry.rect import Rect
+from repro.geometry.point import Point
 from repro.layout.layout import Layout
 
 #: Length-matching tolerance in micrometres.  The ILP matches lengths to

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import LayoutError
-from repro.circuit.device import Device, Rotation
 from repro.circuit.microstrip_net import MicrostripNet
 from repro.circuit.netlist import Netlist
 from repro.geometry.point import Point
@@ -74,14 +73,6 @@ class Layout:
                 f"netlist {self.netlist.name!r}"
             )
         self._routes[route.net_name] = route
-
-    def place_device(
-        self, device_name: str, x: float, y: float, rotation: Rotation = Rotation.R0
-    ) -> Placement:
-        """Convenience wrapper building and registering a placement."""
-        placement = Placement(device_name, Point(x, y), rotation)
-        self.set_placement(placement)
-        return placement
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -172,13 +163,6 @@ class Layout:
         outlines = self.device_outlines(clearance)
         outlines.update(self.segment_outlines(clearance))
         return outlines
-
-    def occupied_bounding_box(self) -> Optional[Rect]:
-        """Bounding box of everything placed/routed, or ``None`` when empty."""
-        rects = list(self.all_outlines().values())
-        if not rects:
-            return None
-        return Rect.bounding(rects)
 
     # ------------------------------------------------------------------ #
     # copies

@@ -11,7 +11,7 @@ errors, total wirelength and area utilisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import LayoutError
 from repro.layout.layout import Layout
@@ -32,18 +32,13 @@ class NetMetrics:
         """Signed equivalent-length error against the target (µm)."""
         return self.equivalent_length - self.target_length
 
-    @property
-    def relative_length_error(self) -> float:
-        """Length error normalised by the target length."""
-        return self.length_error / self.target_length
-
 
 @dataclass(frozen=True)
 class LayoutMetrics:
     """Whole-layout metrics.
 
     Attributes mirror the columns of Table 1 (``max_bend_count``,
-    ``total_bend_count``, ``area_um2``) plus supporting quantities.
+    ``total_bend_count``) plus supporting quantities.
     """
 
     circuit_name: str
@@ -59,19 +54,9 @@ class LayoutMetrics:
     per_net: Dict[str, NetMetrics] = field(default_factory=dict)
 
     @property
-    def area_um2(self) -> float:
-        return self.area_width * self.area_height
-
-    @property
     def area_label(self) -> str:
         """Area formatted the way Table 1 prints it, e.g. ``890x615``."""
         return f"{self.area_width:.0f}x{self.area_height:.0f}"
-
-    @property
-    def mean_bend_count(self) -> float:
-        if not self.num_microstrips:
-            return 0.0
-        return self.total_bend_count / self.num_microstrips
 
     def as_dict(self) -> Dict[str, object]:
         """Flat dictionary used by the experiment reports."""

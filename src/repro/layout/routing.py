@@ -79,10 +79,6 @@ class RoutedMicrostrip:
         """Drop chain points that do not bend the path (Phase 3 deletion)."""
         return RoutedMicrostrip(self.net_name, self.path.simplified())
 
-    def with_path(self, path: ManhattanPath) -> "RoutedMicrostrip":
-        """Return a copy carrying a different path."""
-        return RoutedMicrostrip(self.net_name, path)
-
     # -- serialisation ------------------------------------------------------- #
 
     def as_dict(self) -> Dict[str, object]:

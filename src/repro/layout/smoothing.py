@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from repro.errors import LayoutError
-from repro.geometry.point import Point
 from repro.layout.layout import Layout
 from repro.layout.routing import RoutedMicrostrip
 
@@ -35,16 +33,6 @@ class SmoothedRoute:
         for a, b in zip(self.vertices, self.vertices[1:]):
             total += math.hypot(b.x - a.x, b.y - a.y)
         return total
-
-    @property
-    def diagonal_count(self) -> int:
-        """Number of 45° diagonal sections (one per smoothed bend)."""
-        count = 0
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            dx, dy = abs(b.x - a.x), abs(b.y - a.y)
-            if dx > 1e-9 and dy > 1e-9:
-                count += 1
-        return count
 
 
 def default_cut_length(delta: float, width: float) -> float:
@@ -85,14 +73,3 @@ def smooth_layout(layout: Layout) -> Dict[str, SmoothedRoute]:
         width = route.width or layout.netlist.microstrip_width(route.net_name)
         smoothed[route.net_name] = smooth_route(route, delta, width)
     return smoothed
-
-
-def smoothing_length_change(route: RoutedMicrostrip, delta: float) -> float:
-    """Difference between smoothed physical length and rectilinear length.
-
-    Useful for validating the equivalent-length model: for a route with ``n``
-    bends the physical length changes by roughly ``n`` times the geometric
-    part of ``δ``.
-    """
-    smoothed = smooth_route(route, delta)
-    return smoothed.length - route.geometric_length

@@ -4,7 +4,6 @@ from repro.rf.network import (
     SParameters,
     TwoPortNetwork,
     open_stub_admittance,
-    short_stub_admittance,
 )
 from repro.rf.microstrip import MicrostripLine
 from repro.rf.discontinuity import (
@@ -16,7 +15,6 @@ from repro.rf.discontinuity import (
     right_angle_bend,
 )
 from repro.rf.elements import (
-    attenuator,
     microstrip_section,
     open_stub,
     pad_shunt,
@@ -37,7 +35,6 @@ __all__ = [
     "TwoPortNetwork",
     "SParameters",
     "open_stub_admittance",
-    "short_stub_admittance",
     "MicrostripLine",
     "BendModel",
     "right_angle_bend",
@@ -53,7 +50,6 @@ __all__ = [
     "series_resistor",
     "transistor_stage",
     "pad_shunt",
-    "attenuator",
     "AmplifierModel",
     "SignalChain",
     "ChainElement",

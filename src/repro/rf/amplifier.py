@@ -22,13 +22,13 @@ the manual ones in Figure 11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RFError
-from repro.circuit.device import Device, DeviceType
+from repro.circuit.device import DeviceType
 from repro.circuit.netlist import Netlist
 from repro.layout.layout import Layout
 from repro.rf.discontinuity import bend_two_port
@@ -84,9 +84,6 @@ class SignalChain:
     def from_shorthand(circuit: str, spec: Sequence[Tuple[str, str]]) -> "SignalChain":
         """Build a chain from ``[("line", "ms1"), ("device", "M1"), ...]``."""
         return SignalChain(circuit, [ChainElement(kind, name) for kind, name in spec])
-
-    def net_names(self) -> List[str]:
-        return [element.name for element in self.elements if element.kind in ("line", "stub")]
 
     def device_names(self) -> List[str]:
         return [element.name for element in self.elements if element.kind == "device"]
@@ -243,15 +240,6 @@ class AmplifierModel:
     ) -> SParameters:
         """S-parameters of the chain (designed lengths or a routed layout)."""
         return self.network(frequencies, layout).to_sparameters(self.z0)
-
-    def gain_at(
-        self, frequency_hz: float, layout: Optional[Layout] = None, span: float = 0.2
-    ) -> float:
-        """|S21| in dB at the operating frequency (Figure 11's headline number)."""
-        frequencies = np.linspace(
-            frequency_hz * (1.0 - span), frequency_hz * (1.0 + span), 41
-        )
-        return self.simulate(frequencies, layout).gain_db(frequency_hz)
 
 
 def default_frequency_sweep(

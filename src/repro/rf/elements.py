@@ -7,7 +7,7 @@ frequency grid so the blocks compose by cascading.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -125,22 +125,3 @@ def pad_shunt(
 ) -> TwoPortNetwork:
     """The shunt parasitic capacitance of an RF pad."""
     return shunt_capacitor(c_farad, frequencies)
-
-
-def attenuator(
-    frequencies: Iterable[float], loss_db: float
-) -> TwoPortNetwork:
-    """A frequency-flat matched attenuator (used for loss budgeting tests)."""
-    freq = _freq_array(frequencies)
-    if loss_db < 0:
-        raise RFError("attenuation must be non-negative")
-    amplitude = 10.0 ** (-loss_db / 20.0)
-    # A matched attenuator's ABCD for Z0 = 50 ohm.
-    z0 = 50.0
-    k = amplitude
-    abcd = np.zeros((freq.size, 2, 2), dtype=complex)
-    abcd[:, 0, 0] = (1.0 + k**2) / (2.0 * k)
-    abcd[:, 0, 1] = z0 * (1.0 - k**2) / (2.0 * k)
-    abcd[:, 1, 0] = (1.0 - k**2) / (2.0 * k * z0)
-    abcd[:, 1, 1] = (1.0 + k**2) / (2.0 * k)
-    return TwoPortNetwork(freq, abcd)

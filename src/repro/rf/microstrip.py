@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.errors import RFError
 from repro.tech.technology import Technology
-from repro.units import EPSILON_0, ETA_0, MU_0, SPEED_OF_LIGHT, microns_to_meters
+from repro.units import ETA_0, MU_0, SPEED_OF_LIGHT, microns_to_meters
 
 
 @dataclass(frozen=True)
@@ -220,18 +220,3 @@ class MicrostripLine:
         if frequency_hz <= 0:
             raise RFError("frequency must be positive")
         return SPEED_OF_LIGHT / (frequency_hz * math.sqrt(self.effective_permittivity))
-
-    def electrical_length_deg(self, length_um: float, frequency_hz: float) -> float:
-        """Electrical length of a physical line in degrees at one frequency."""
-        beta = float(self.phase_constant(np.array([frequency_hz]))[0])
-        return math.degrees(beta * microns_to_meters(length_um))
-
-    def length_for_electrical_degrees(self, degrees: float, frequency_hz: float) -> float:
-        """Physical length (µm) that gives an electrical length of ``degrees``."""
-        beta = float(self.phase_constant(np.array([frequency_hz]))[0])
-        return math.radians(degrees) / beta / microns_to_meters(1.0)
-
-    def loss_db_per_mm(self, frequency_hz: float) -> float:
-        """Attenuation in dB per millimetre at one frequency."""
-        alpha = float(self.attenuation(np.array([frequency_hz]))[0])
-        return 20.0 * math.log10(math.e) * alpha * 1.0e-3

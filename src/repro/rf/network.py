@@ -10,7 +10,7 @@ real reference impedance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -105,11 +105,6 @@ class SParameters:
     def output_return_loss_db(self, frequency_hz: float) -> float:
         """|S22| in dB at a frequency (more negative is better)."""
         return self.at(frequency_hz)["s22_db"]
-
-    def peak_gain(self) -> tuple[float, float]:
-        """Return ``(frequency_hz, gain_db)`` of the S21 maximum."""
-        index = int(np.argmax(self.s21_db))
-        return float(self.frequencies[index]), float(self.s21_db[index])
 
     def as_dict(self) -> dict:
         """JSON-friendly representation (dB magnitudes only)."""
@@ -278,22 +273,6 @@ class TwoPortNetwork:
         s22 = (-a + b / z0 - c * z0 + d) / denom
         return SParameters(self.frequencies, s11, s12, s21, s22, z0)
 
-    def input_impedance(self, load_impedance: complex = 50.0) -> np.ndarray:
-        """Input impedance when port 2 is terminated with ``load_impedance``."""
-        a = self.abcd[:, 0, 0]
-        b = self.abcd[:, 0, 1]
-        c = self.abcd[:, 1, 0]
-        d = self.abcd[:, 1, 1]
-        zl = complex(load_impedance)
-        return (a * zl + b) / (c * zl + d)
-
-    def voltage_gain(self, load_impedance: complex = 50.0) -> np.ndarray:
-        """V2 / V1 when port 2 is terminated with ``load_impedance``."""
-        a = self.abcd[:, 0, 0]
-        b = self.abcd[:, 0, 1]
-        zl = complex(load_impedance)
-        return zl / (a * zl + b)
-
 
 def open_stub_admittance(
     gamma: np.ndarray, z0: np.ndarray | complex, length_m: float
@@ -303,14 +282,3 @@ def open_stub_admittance(
         raise RFError(f"stub length must be non-negative, got {length_m}")
     z0 = np.asarray(z0, dtype=complex)
     return np.tanh(np.asarray(gamma, dtype=complex) * length_m) / z0
-
-
-def short_stub_admittance(
-    gamma: np.ndarray, z0: np.ndarray | complex, length_m: float
-) -> np.ndarray:
-    """Input admittance of a short-circuited stub of the given length."""
-    if length_m < 0:
-        raise RFError(f"stub length must be non-negative, got {length_m}")
-    z0 = np.asarray(z0, dtype=complex)
-    gl = np.asarray(gamma, dtype=complex) * length_m
-    return 1.0 / (z0 * np.tanh(gl))

@@ -165,10 +165,6 @@ class ResultCache:
         """Directory an entry with the given content hash lives in."""
         return self.root / key[:2] / key[2:]
 
-    def contains(self, job: LayoutJob) -> bool:
-        """Whether a complete entry exists (does not touch the counters)."""
-        return self._is_complete(self.entry_dir(job.content_hash))
-
     @staticmethod
     def _is_complete(directory: Path) -> bool:
         return all(

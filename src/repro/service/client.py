@@ -279,13 +279,6 @@ class ServiceClient:
     # API surface
     # ------------------------------------------------------------------ #
 
-    def ping(self) -> bool:
-        try:
-            self._json("/healthz")
-            return True
-        except ServiceError:
-            return False
-
     def health(self) -> Dict[str, object]:
         return self._json("/healthz")
 
@@ -363,10 +356,6 @@ class ServiceClient:
 
     def layout_document(self, key: str) -> Dict[str, object]:
         return self._json(f"/jobs/{key}/layout.json")
-
-    def layout_svg(self, key: str) -> str:
-        with self._request(f"/jobs/{key}/layout.svg") as response:
-            return response.read().decode("utf-8")
 
     def iter_events(
         self, key: str, timeout: Optional[float] = None, reconnect: bool = True

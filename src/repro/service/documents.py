@@ -29,7 +29,7 @@ instead and expands server-side into one job document per grid point.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from repro.circuit.loader import netlist_from_dict, netlist_to_dict
 from repro.core.config import ObjectiveWeights, PhaseSettings, PILPConfig

@@ -1278,10 +1278,3 @@ class LayoutScheduler:
             "truncated": any(span.get("truncated") for span in spans),
             "spans": spans,
         }
-
-    def resolve_job(self, key: str) -> Optional[LayoutJob]:
-        """Rebuild the runnable job of a known record (for exports)."""
-        record = self.queue.get(key)
-        if record is None:
-            return None
-        return job_from_document(record.document)

@@ -1,14 +1,10 @@
 """Technology / design-rule descriptions."""
 
 from repro.tech.technology import CMOS65, CMOS90, Technology, default_technology
-from repro.tech.stackup import MetalLayer, StackUp, default_stackup
 
 __all__ = [
     "Technology",
     "CMOS90",
     "CMOS65",
     "default_technology",
-    "MetalLayer",
-    "StackUp",
-    "default_stackup",
 ]

@@ -15,7 +15,7 @@ same object drives both the layout optimiser and the S-parameter simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro.errors import TechnologyError

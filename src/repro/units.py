@@ -1,4 +1,4 @@
-"""Unit conventions and small conversion helpers.
+"""Unit conventions, physical constants and the micrometre-to-metre conversion.
 
 The geometric parts of the library work in **micrometres** (µm), matching the
 dimensions quoted in the paper (layout areas such as 890 µm x 615 µm, ground
@@ -14,12 +14,6 @@ import math
 
 #: Number of metres in one micrometre.
 METERS_PER_MICRON = 1.0e-6
-
-#: Number of micrometres in one millimetre.
-MICRONS_PER_MM = 1000.0
-
-#: Hertz per Gigahertz.
-HZ_PER_GHZ = 1.0e9
 
 #: Free-space speed of light in metres per second.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -37,63 +31,3 @@ ETA_0 = math.sqrt(MU_0 / EPSILON_0)
 def microns_to_meters(value_um: float) -> float:
     """Convert a length in micrometres to metres."""
     return value_um * METERS_PER_MICRON
-
-
-def meters_to_microns(value_m: float) -> float:
-    """Convert a length in metres to micrometres."""
-    return value_m / METERS_PER_MICRON
-
-
-def mm_to_microns(value_mm: float) -> float:
-    """Convert a length in millimetres to micrometres."""
-    return value_mm * MICRONS_PER_MM
-
-
-def ghz_to_hz(value_ghz: float) -> float:
-    """Convert a frequency in Gigahertz to Hertz."""
-    return value_ghz * HZ_PER_GHZ
-
-
-def hz_to_ghz(value_hz: float) -> float:
-    """Convert a frequency in Hertz to Gigahertz."""
-    return value_hz / HZ_PER_GHZ
-
-
-def db(value: float) -> float:
-    """Return ``20 log10(|value|)`` — magnitude of a ratio in decibels.
-
-    Used for S-parameter magnitudes.  A zero magnitude maps to ``-inf``.
-    """
-    magnitude = abs(value)
-    if magnitude == 0.0:
-        return float("-inf")
-    return 20.0 * math.log10(magnitude)
-
-
-def db_power(value: float) -> float:
-    """Return ``10 log10(value)`` — a power ratio in decibels."""
-    if value <= 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(value)
-
-
-def from_db(value_db: float) -> float:
-    """Inverse of :func:`db`: convert decibels back to a magnitude ratio."""
-    return 10.0 ** (value_db / 20.0)
-
-
-def wavelength(frequency_hz: float, eps_eff: float = 1.0) -> float:
-    """Return the guided wavelength in metres.
-
-    Parameters
-    ----------
-    frequency_hz:
-        Operating frequency in Hertz.  Must be positive.
-    eps_eff:
-        Effective relative permittivity of the guiding medium.
-    """
-    if frequency_hz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
-    if eps_eff <= 0.0:
-        raise ValueError(f"eps_eff must be positive, got {eps_eff!r}")
-    return SPEED_OF_LIGHT / (frequency_hz * math.sqrt(eps_eff))

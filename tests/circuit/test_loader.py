@@ -5,15 +5,8 @@ import json
 import pytest
 
 from repro.errors import NetlistError
-from repro.circuit import (
-    dumps_netlist,
-    load_netlist,
-    loads_netlist,
-    netlist_from_dict,
-    netlist_to_dict,
-    save_netlist,
-)
-from tests.conftest import build_small_netlist
+from repro.circuit import load_netlist, netlist_from_dict, netlist_to_dict
+from tests.conftest import build_small_netlist, write_netlist
 
 
 class TestRoundTrip:
@@ -27,23 +20,14 @@ class TestRoundTrip:
         assert rebuilt.technology == netlist.technology
         assert rebuilt.microstrip("ms1").target_length == pytest.approx(260.0)
 
-    def test_string_round_trip(self):
-        netlist = build_small_netlist()
-        text = dumps_netlist(netlist)
-        rebuilt = loads_netlist(text)
-        assert rebuilt.device_names == netlist.device_names
-
     def test_file_round_trip(self, tmp_path):
         netlist = build_small_netlist()
-        path = save_netlist(netlist, tmp_path / "circuit.json")
-        assert path.exists()
+        path = write_netlist(netlist, tmp_path / "circuit.json")
         rebuilt = load_netlist(path)
         assert rebuilt.microstrip_names == netlist.microstrip_names
 
-    def test_document_is_valid_json_with_schema_version(self, tmp_path):
-        netlist = build_small_netlist()
-        path = save_netlist(netlist, tmp_path / "circuit.json")
-        data = json.loads(path.read_text())
+    def test_document_is_valid_json_with_schema_version(self):
+        data = json.loads(json.dumps(netlist_to_dict(build_small_netlist())))
         assert data["schema_version"] == 1
         assert data["name"] == "small5"
 
@@ -53,9 +37,11 @@ class TestErrors:
         with pytest.raises(NetlistError):
             load_netlist(tmp_path / "missing.json")
 
-    def test_invalid_json_text(self):
+    def test_invalid_json_text(self, tmp_path):
+        path = tmp_path / "circuit.json"
+        path.write_text("{not json")
         with pytest.raises(NetlistError):
-            loads_netlist("{not json")
+            load_netlist(path)
 
     def test_unsupported_schema_version(self):
         data = netlist_to_dict(build_small_netlist())

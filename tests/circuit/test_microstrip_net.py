@@ -56,12 +56,6 @@ class TestMicrostripNet:
         assert microstrip.connects("B")
         assert not microstrip.connects("C")
 
-    def test_other_terminal(self):
-        microstrip = net()
-        assert microstrip.other_terminal("A") == Terminal("B", "P2")
-        with pytest.raises(NetlistError):
-            microstrip.other_terminal("C")
-
     def test_serialisation_round_trip(self):
         original = net(width=12.0, max_chain_points=5, impedance_ohm=60.0)
         rebuilt = MicrostripNet.from_dict(original.as_dict())

@@ -19,7 +19,6 @@ class TestLayoutArea:
     def test_properties(self):
         area = LayoutArea(890.0, 615.0)
         assert area.area == pytest.approx(890.0 * 615.0)
-        assert area.aspect_ratio == pytest.approx(890.0 / 615.0)
         assert area.rect.as_tuple() == (0.0, 0.0, 890.0, 615.0)
 
     def test_invalid_dimensions(self):
@@ -105,13 +104,6 @@ class TestNetlistQueries:
         assert isinstance(graph, nx.MultiGraph)
         assert graph.number_of_nodes() == 6
         assert graph.number_of_edges() == 5
-
-    def test_with_area_preserves_content(self):
-        netlist = build_tiny_netlist()
-        resized = netlist.with_area(LayoutArea(500, 500))
-        assert resized.num_devices == netlist.num_devices
-        assert resized.area.width == 500.0
-        assert netlist.area.width == 400.0
 
     def test_summary_fields(self):
         summary = build_small_netlist().summary()

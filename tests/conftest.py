@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.circuit import (
     make_dc_pad,
     make_rf_pad,
     make_transistor,
+    netlist_to_dict,
 )
 from repro.core import PILPConfig
 from repro.core.config import PhaseSettings
@@ -32,6 +34,12 @@ from repro.tech import CMOS90
 # --------------------------------------------------------------------------- #
 # netlists
 # --------------------------------------------------------------------------- #
+
+
+def write_netlist(netlist: Netlist, path: Path) -> Path:
+    """Write ``netlist`` as the JSON document ``load_netlist`` reads."""
+    path.write_text(json.dumps(netlist_to_dict(netlist)), encoding="utf-8")
+    return path
 
 
 def build_tiny_netlist(area: LayoutArea | None = None) -> Netlist:

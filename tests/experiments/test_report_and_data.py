@@ -1,6 +1,5 @@
 """Tests for the experiment reporting helpers and the published paper data."""
 
-import csv
 import json
 
 import pytest
@@ -12,7 +11,6 @@ from repro.experiments import (
     format_runtime,
     format_text_table,
     paper_table1_entry,
-    save_csv,
     save_json,
 )
 
@@ -51,17 +49,6 @@ class TestPersistence:
 
         path = save_json({"value": np.float64(1.5)}, tmp_path / "np.json")
         assert json.loads(path.read_text()) == {"value": 1.5}
-
-    def test_save_csv(self, tmp_path):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        path = save_csv(rows, tmp_path / "out.csv")
-        with path.open() as handle:
-            parsed = list(csv.DictReader(handle))
-        assert parsed[1]["b"] == "y"
-
-    def test_save_empty_csv(self, tmp_path):
-        path = save_csv([], tmp_path / "empty.csv")
-        assert path.read_text() == ""
 
 
 class TestRuntimeFormatting:

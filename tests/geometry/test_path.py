@@ -98,13 +98,6 @@ class TestEditing:
         assert simplified.start == path.start
         assert simplified.end == path.end
 
-    def test_insert_point(self):
-        path = ManhattanPath([Point(0, 0), Point(40, 0)])
-        extended = path.with_point_inserted(1, Point(20, 0))
-        assert len(extended.points) == 3
-        with pytest.raises(GeometryError):
-            path.with_point_inserted(0, Point(20, 0))
-
     def test_reversed(self):
         path = l_shape()
         assert path.reversed().start == path.end

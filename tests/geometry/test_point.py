@@ -63,10 +63,6 @@ class TestRotationAndMirroring:
         rotated = Point(2.0, 0.0).rotated(1, about=Point(1.0, 0.0))
         assert rotated.as_tuple() == pytest.approx((1.0, 1.0))
 
-    def test_mirroring(self):
-        assert Point(3.0, 2.0).mirrored_x(0.0) == Point(-3.0, 2.0)
-        assert Point(3.0, 2.0).mirrored_y(1.0) == Point(3.0, 0.0)
-
 
 class TestCollinearAxis:
     def test_horizontal(self):

@@ -11,10 +11,6 @@ class TestConstruction:
         rect = Rect.from_center(Point(10, 10), 4.0, 6.0)
         assert rect.as_tuple() == (8.0, 7.0, 12.0, 13.0)
 
-    def test_from_corners_any_order(self):
-        rect = Rect.from_corners(Point(5, 9), Point(1, 2))
-        assert rect.as_tuple() == (1.0, 2.0, 5.0, 9.0)
-
     def test_negative_dimensions_rejected(self):
         with pytest.raises(GeometryError):
             Rect(5.0, 0.0, 1.0, 2.0)
@@ -37,13 +33,8 @@ class TestProperties:
         assert rect.height == 3.0
         assert rect.area == 12.0
 
-    def test_center_and_corners(self):
-        rect = Rect(0, 0, 4, 2)
-        assert rect.center == Point(2.0, 1.0)
-        corners = rect.corners()
-        assert len(corners) == 4
-        assert Point(0.0, 0.0) in corners
-        assert Point(4.0, 2.0) in corners
+    def test_center(self):
+        assert Rect(0, 0, 4, 2).center == Point(2.0, 1.0)
 
 
 class TestTransformations:
@@ -57,17 +48,6 @@ class TestTransformations:
 
     def test_translation(self):
         assert Rect(0, 0, 1, 1).translated(2, 3).as_tuple() == (2.0, 3.0, 3.0, 4.0)
-
-    def test_rotation_about_center_swaps_dimensions(self):
-        rect = Rect(0, 0, 4, 2)
-        rotated = rect.rotated_about_center(1)
-        assert rotated.width == pytest.approx(2.0)
-        assert rotated.height == pytest.approx(4.0)
-        assert rotated.center == rect.center
-
-    def test_rotation_by_180_is_identity(self):
-        rect = Rect(0, 0, 4, 2)
-        assert rect.rotated_about_center(2) == rect
 
 
 class TestPredicates:
@@ -101,19 +81,3 @@ class TestIntersectionAndSeparation:
 
     def test_intersection_of_disjoint_is_none(self):
         assert Rect(0, 0, 1, 1).intersection(Rect(3, 3, 4, 4)) is None
-
-    def test_overlap_area(self):
-        assert Rect(0, 0, 4, 4).overlap_area(Rect(2, 2, 6, 6)) == pytest.approx(4.0)
-        assert Rect(0, 0, 1, 1).overlap_area(Rect(2, 2, 3, 3)) == 0.0
-
-    def test_separation_positive_for_gap(self):
-        gap = Rect(0, 0, 2, 2).separation(Rect(5, 0, 7, 2))
-        assert gap == pytest.approx(3.0)
-
-    def test_separation_negative_for_overlap(self):
-        value = Rect(0, 0, 4, 4).separation(Rect(3, 0, 7, 4))
-        assert value < 0
-
-    def test_separation_diagonal_gap_is_euclidean(self):
-        value = Rect(0, 0, 1, 1).separation(Rect(4, 5, 6, 7))
-        assert value == pytest.approx((3.0**2 + 4.0**2) ** 0.5)

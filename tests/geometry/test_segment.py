@@ -42,12 +42,6 @@ class TestOrientationAndLength:
         segment = Segment(Point(0, 0), Point(5, 0))
         assert segment.reversed().direction == "l"
 
-    def test_point_at(self):
-        segment = Segment(Point(0, 0), Point(10, 0))
-        assert segment.point_at(0.5) == Point(5.0, 0.0)
-        with pytest.raises(GeometryError):
-            segment.point_at(1.5)
-
 
 class TestOutlines:
     def test_outline_includes_width(self):
@@ -102,13 +96,3 @@ class TestCrossing:
         first = Segment(Point(1, 1), Point(1, 1))
         second = Segment(Point(0, 1), Point(5, 1))
         assert not first.crosses(second)
-
-
-class TestDistance:
-    def test_distance_to_point_beside(self):
-        segment = Segment(Point(0, 0), Point(10, 0))
-        assert segment.distance_to_point(Point(5, 3)) == pytest.approx(3.0)
-
-    def test_distance_to_point_beyond_end(self):
-        segment = Segment(Point(0, 0), Point(10, 0))
-        assert segment.distance_to_point(Point(13, 4)) == pytest.approx(5.0)

@@ -10,7 +10,7 @@ import pytest
 
 from milp_oracle import oracle_solve
 from repro.errors import SolverError
-from repro.ilp import Model, SolveStatus
+from repro.ilp import Model, SolveStatus, VarType
 from repro.ilp.backends import highs as highs_module
 from repro.ilp.backends.highs import HighsBackend
 
@@ -35,7 +35,7 @@ def mixed_model():
     model = Model()
     x = model.add_continuous("x", ub=10)
     b = model.add_binary("b")
-    n = model.add_integer("n", ub=3)
+    n = model.add_var("n", ub=3, vartype=VarType.INTEGER)
     model.add_constraint(x + 4 * b + 2 * n <= 9)
     model.add_constraint(x >= n)
     model.set_objective(2 * x + 3 * b + n, sense="max")
@@ -55,7 +55,7 @@ class TestBothBackends:
 
     def test_integer_rounding(self, backend):
         model = Model()
-        n = model.add_integer("n", lb=0, ub=10)
+        n = model.add_var("n", lb=0, ub=10, vartype=VarType.INTEGER)
         model.add_constraint(2 * n <= 7)
         model.set_objective(n, sense="max")
         solution = SOLVERS[backend](model)
@@ -147,7 +147,7 @@ class TestBackendAgreement:
         continuous.add_constraint(x >= 2)
         # Feasible as an LP (n = 1.5), infeasible over the integers.
         integer = Model()
-        n = integer.add_integer("n", lb=0, ub=5)
+        n = integer.add_var("n", lb=0, ub=5, vartype=VarType.INTEGER)
         integer.add_constraint(2 * n == 3)
         for model in (continuous, integer):
             assert self.agree(model).status is SolveStatus.INFEASIBLE

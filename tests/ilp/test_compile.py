@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.ilp import ConstraintBatch, Model, Sense, lin_sum
+from repro.ilp import ConstraintBatch, Model, Sense, VarType, lin_sum
 from repro.ilp.expr import LinExpr
 from repro.ilp.linearize import add_equal_if_rows, equal_if
 
@@ -66,7 +66,9 @@ def test_batched_and_legacy_paths_produce_identical_forms(rows):
             if index % 3 == 0:
                 variables.append(model.add_binary(f"b{index}"))
             elif index % 3 == 1:
-                variables.append(model.add_integer(f"i{index}", lb=-4, ub=9))
+                variables.append(
+                    model.add_var(f"i{index}", lb=-4, ub=9, vartype=VarType.INTEGER)
+                )
             else:
                 variables.append(model.add_continuous(f"x{index}", lb=-2.5, ub=7.5))
         return variables
@@ -111,7 +113,7 @@ def test_batched_and_legacy_paths_produce_identical_forms(rows):
 def _build_incrementally(export_midway: bool) -> "Model":
     model = Model("incremental")
     x = model.add_continuous("x", lb=0, ub=10)
-    y = model.add_integer("y", lb=0, ub=5)
+    y = model.add_var("y", lb=0, ub=5, vartype=VarType.INTEGER)
     model.add_constraint(x + 2 * y <= 8, name="first")
     model.set_objective(x + y, sense="max")
     if export_midway:

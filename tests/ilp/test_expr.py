@@ -29,7 +29,7 @@ class TestVariable:
         assert not var.is_integer
 
     def test_integer_variable(self, model):
-        var = model.add_integer("n", lb=1, ub=7)
+        var = model.add_var("n", lb=1, ub=7, vartype=VarType.INTEGER)
         assert var.vartype is VarType.INTEGER
         assert var.is_integer and not var.is_binary
 

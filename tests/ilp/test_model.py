@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.ilp import Model, SolveStatus
+from repro.ilp import Model, SolveStatus, VarType
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestModelConstruction:
 
     def test_statistics(self, model):
         model.add_binary("b")
-        model.add_integer("n", ub=4)
+        model.add_var("n", ub=4, vartype=VarType.INTEGER)
         model.add_continuous("x")
         stats = model.statistics()
         assert stats["binary_variables"] == 1
@@ -57,12 +57,6 @@ class TestModelConstruction:
         x = model.add_continuous("x")
         constraint = model.add_constraint(x <= 1)
         assert constraint.name
-
-    def test_add_constraints_bulk(self, model):
-        x = model.add_continuous("x")
-        added = model.add_constraints([x <= 1, x >= 0], prefix="bounds")
-        assert len(added) == 2
-        assert added[0].name == "bounds[0]"
 
 
 class TestStandardForm:
@@ -89,7 +83,7 @@ class TestStandardForm:
     def test_integrality_vector(self, model):
         model.add_continuous("x")
         model.add_binary("b")
-        model.add_integer("n", ub=9)
+        model.add_var("n", ub=9, vartype=VarType.INTEGER)
         form = model.to_standard_form()
         assert form.integrality.tolist() == [0, 1, 1]
         assert form.num_integer_variables == 2

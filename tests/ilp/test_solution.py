@@ -17,13 +17,6 @@ class TestSolutionObject:
         assert "optimal" in text
         assert "objective=3" in text
 
-    def test_as_name_dict(self):
-        model = Model()
-        x = model.add_continuous("x", ub=2)
-        model.set_objective(x, sense="max")
-        solution = model.solve()
-        assert solution.as_name_dict() == {"x": pytest.approx(2.0)}
-
     def test_value_requires_feasibility(self):
         solution = Solution(status=SolveStatus.INFEASIBLE, backend="highs")
         model = Model()

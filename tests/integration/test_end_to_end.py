@@ -4,7 +4,7 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.circuit import load_netlist, save_netlist
+from repro.circuit import load_netlist
 from repro.layout import (
     load_layout,
     run_drc,
@@ -14,6 +14,7 @@ from repro.layout import (
     smooth_layout,
 )
 from repro.rf import AmplifierModel, SignalChain, default_frequency_sweep
+from tests.conftest import write_netlist
 
 
 class TestLayoutPersistenceRoundTrip:
@@ -34,7 +35,7 @@ class TestLayoutPersistenceRoundTrip:
     def test_netlist_round_trip_then_flow_inputs_match(
         self, session_tiny_netlist, tmp_path
     ):
-        path = save_netlist(session_tiny_netlist, tmp_path / "tiny.json")
+        path = write_netlist(session_tiny_netlist, tmp_path / "tiny.json")
         reloaded = load_netlist(path)
         assert reloaded.summary() == session_tiny_netlist.summary()
 

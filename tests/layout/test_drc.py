@@ -43,7 +43,7 @@ class TestCompleteness:
 class TestGeometricChecks:
     def test_outside_area_detected(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("M1", 395.0, 150.0)  # hangs over the right edge
+        layout.set_placement(Placement("M1", Point(395.0, 150.0)))  # hangs over the right edge
         report = DesignRuleChecker(check_lengths=False).check(layout)
         assert any(
             violation.subject == "dev:M1"
@@ -52,30 +52,30 @@ class TestGeometricChecks:
 
     def test_pad_off_boundary_detected(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("P_IN", 200.0, 150.0)  # floating in the middle
+        layout.set_placement(Placement("P_IN", Point(200.0, 150.0)))  # floating in the middle
         report = DesignRuleChecker(check_lengths=False).check(layout)
         assert report.count(ViolationKind.PAD_NOT_ON_BOUNDARY) == 1
 
     def test_pad_on_boundary_accepted(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("P_IN", 30.0, 150.0)  # left edge (pad is 60 um wide)
+        layout.set_placement(Placement("P_IN", Point(30.0, 150.0)))  # left edge (pad is 60 um wide)
         report = DesignRuleChecker(check_lengths=False).check(layout)
         assert report.count(ViolationKind.PAD_NOT_ON_BOUNDARY) == 0
 
     def test_spacing_violation_between_devices(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("M1", 200.0, 150.0)
+        layout.set_placement(Placement("M1", Point(200.0, 150.0)))
         # M1's right edge is at x = 220; a pad whose left edge sits at x = 225
         # leaves only 5 um of clearance and violates the 10 um rule.
-        layout.place_device("P_OUT", 255.0, 150.0)
+        layout.set_placement(Placement("P_OUT", Point(255.0, 150.0)))
         report = DesignRuleChecker(check_lengths=False).check(layout)
         assert report.count(ViolationKind.SPACING) >= 1
 
     def test_crossing_detected(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("P_IN", 35.0, 150.0)
-        layout.place_device("P_OUT", 365.0, 150.0)
-        layout.place_device("M1", 200.0, 40.0)
+        layout.set_placement(Placement("P_IN", Point(35.0, 150.0)))
+        layout.set_placement(Placement("P_OUT", Point(365.0, 150.0)))
+        layout.set_placement(Placement("M1", Point(200.0, 40.0)))
         # ms_in runs horizontally across the area; ms_out runs vertically
         # through it — an illegal crossing of two different nets.
         layout.set_route(
@@ -96,9 +96,9 @@ class TestGeometricChecks:
 
     def test_open_connection_detected(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("P_IN", 35.0, 150.0)
-        layout.place_device("P_OUT", 365.0, 150.0)
-        layout.place_device("M1", 200.0, 150.0)
+        layout.set_placement(Placement("P_IN", Point(35.0, 150.0)))
+        layout.set_placement(Placement("P_OUT", Point(365.0, 150.0)))
+        layout.set_placement(Placement("M1", Point(200.0, 150.0)))
         # Route ends 40 um away from the gate pin.
         layout.set_route(
             RoutedMicrostrip(
@@ -112,9 +112,9 @@ class TestGeometricChecks:
 
     def test_reversed_route_direction_accepted(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("P_IN", 35.0, 150.0)
-        layout.place_device("P_OUT", 365.0, 150.0)
-        layout.place_device("M1", 200.0, 150.0)
+        layout.set_placement(Placement("P_IN", Point(35.0, 150.0)))
+        layout.set_placement(Placement("P_OUT", Point(365.0, 150.0)))
+        layout.set_placement(Placement("M1", Point(200.0, 150.0)))
         gate = layout.pin_position("M1", "G")
         pad = layout.pin_position("P_IN", "SIG")
         # Stored end-to-start: still a closed connection.
@@ -135,9 +135,9 @@ class TestLengthCheck:
 
     def test_exact_length_accepted(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("P_IN", 35.0, 150.0)
-        layout.place_device("P_OUT", 365.0, 150.0)
-        layout.place_device("M1", 200.0, 150.0)
+        layout.set_placement(Placement("P_IN", Point(35.0, 150.0)))
+        layout.set_placement(Placement("P_OUT", Point(365.0, 150.0)))
+        layout.set_placement(Placement("M1", Point(200.0, 150.0)))
         pad = layout.pin_position("P_IN", "SIG")
         gate = layout.pin_position("M1", "G")
         # Direct distance is 145 um; the target is 250 um, so a detour of the

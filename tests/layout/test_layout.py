@@ -34,7 +34,7 @@ class TestPopulation:
     def test_is_complete_progression(self, tiny_netlist, hand_layout):
         partial = Layout(tiny_netlist)
         assert not partial.is_complete
-        partial.place_device("M1", 200, 150)
+        partial.set_placement(Placement("M1", Point(200, 150)))
         assert not partial.is_complete
         assert hand_layout.is_complete
 
@@ -62,12 +62,6 @@ class TestDerivedGeometry:
         expanded = hand_layout.device_outline("M1", clearance=5.0)
         assert expanded.width == pytest.approx(tight.width + 10.0)
 
-    def test_occupied_bounding_box(self, hand_layout, tiny_netlist):
-        assert Layout(tiny_netlist).occupied_bounding_box() is None
-        box = hand_layout.occupied_bounding_box()
-        assert box is not None
-        assert box.area > 0
-
     def test_boundary_matches_netlist_area(self, hand_layout):
         assert hand_layout.boundary.as_tuple() == (0.0, 0.0, 400.0, 300.0)
 
@@ -75,14 +69,14 @@ class TestDerivedGeometry:
 class TestCopies:
     def test_copy_is_independent(self, hand_layout):
         clone = hand_layout.copy()
-        clone.place_device("M1", 111.0, 111.0)
+        clone.set_placement(Placement("M1", Point(111.0, 111.0)))
         assert hand_layout.placement("M1").center != Point(111.0, 111.0)
 
     def test_with_simplified_routes(self, tiny_netlist):
         layout = Layout(tiny_netlist)
-        layout.place_device("P_IN", 35, 150)
-        layout.place_device("P_OUT", 365, 150)
-        layout.place_device("M1", 200, 150)
+        layout.set_placement(Placement("P_IN", Point(35, 150)))
+        layout.set_placement(Placement("P_OUT", Point(365, 150)))
+        layout.set_placement(Placement("M1", Point(200, 150)))
         wiggly = ManhattanPath(
             [Point(35, 150), Point(100, 150), Point(180, 150)], width=10.0
         )

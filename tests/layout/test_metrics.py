@@ -21,12 +21,6 @@ class TestComputeMetrics:
     def test_area_fields(self, hand_layout):
         metrics = compute_metrics(hand_layout)
         assert metrics.area_label == "400x300"
-        assert metrics.area_um2 == pytest.approx(120000.0)
-
-    def test_mean_bend_count(self, hand_layout):
-        metrics = compute_metrics(hand_layout)
-        # One bend spread over the two routed microstrips.
-        assert metrics.mean_bend_count == pytest.approx(0.5)
 
     def test_as_dict_columns(self, hand_layout):
         data = compute_metrics(hand_layout).as_dict()
@@ -49,7 +43,6 @@ class TestComputeMetrics:
         ms_in = metrics.per_net["ms_in"]
         # The direct route is much shorter than the 250 um target.
         assert ms_in.length_error < 0
-        assert ms_in.relative_length_error < 0
 
 
 class TestCompareMetrics:

@@ -19,7 +19,6 @@ from repro.layout import (
     save_svg,
     smooth_layout,
     smooth_route,
-    smoothing_length_change,
 )
 
 
@@ -41,11 +40,11 @@ class TestSmoothing:
         route = l_route()
         smoothed = smooth_route(route, delta=-4.0)
         assert smoothed.length < route.geometric_length
-        assert smoothed.diagonal_count == 1
+        assert len(smoothed.vertices) == 4  # the corner became one diagonal
 
     def test_length_change_matches_geometric_delta(self):
         route = l_route()
-        change = smoothing_length_change(route, delta=-4.0)
+        change = smooth_route(route, delta=-4.0).length - route.geometric_length
         # One smoothed bend shortens the path by cut * (2 - sqrt(2)) = |delta|.
         assert change == pytest.approx(-4.0, abs=1e-6)
 
@@ -55,7 +54,7 @@ class TestSmoothing:
         )
         smoothed = smooth_route(route, delta=-4.0)
         assert smoothed.length == pytest.approx(100.0)
-        assert smoothed.diagonal_count == 0
+        assert len(smoothed.vertices) == 2
 
     def test_smooth_layout_covers_all_routes(self, hand_layout):
         smoothed = smooth_layout(hand_layout)

@@ -35,12 +35,12 @@ def netlists(draw):
     chain = ["P_IN"] + middle_names + ["P_OUT"]
     nets = []
     for index, (first, second) in enumerate(zip(chain, chain[1:])):
-        first_pin = "SIG" if first.startswith("P_") else sorted(
-            d for d in devices if d.name == first
-        )[0].pin_names()[0]
-        second_pin = "SIG" if second.startswith("P_") else sorted(
-            d for d in devices if d.name == second
-        )[0].pin_names()[0]
+        first_pin = "SIG" if first.startswith("P_") else min(
+            next(d for d in devices if d.name == first).pins
+        )
+        second_pin = "SIG" if second.startswith("P_") else min(
+            next(d for d in devices if d.name == second).pins
+        )
         nets.append(
             MicrostripNet(
                 f"net{index}",

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from milp_oracle import oracle_solve
-from repro.ilp import LinExpr, Model, SolveStatus
+from repro.ilp import LinExpr, Model, SolveStatus, VarType
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 
@@ -100,7 +100,7 @@ class TestSolverProperties:
     def test_integer_rounding_invariant(self, lower, span):
         """An integer variable maximised under x <= bound lands on floor(bound)."""
         model = Model()
-        n = model.add_integer("n", lb=0, ub=100)
+        n = model.add_var("n", lb=0, ub=100, vartype=VarType.INTEGER)
         bound = lower + span / 3.0
         model.add_constraint(n <= bound)
         model.set_objective(n, sense="max")

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import RFError
 from repro.rf import (
     MicrostripLine,
-    attenuator,
     bend_two_port,
     delta_versus_frequency,
     extract_delta,
@@ -95,11 +94,6 @@ class TestElements:
     def test_pad_shunt_is_mild(self, frequencies):
         sparams = pad_shunt(frequencies).to_sparameters()
         assert np.all(sparams.s21_db > -1.0)
-
-    def test_attenuator_hits_requested_loss(self, frequencies):
-        sparams = attenuator(frequencies, loss_db=6.0).to_sparameters()
-        assert np.allclose(sparams.s21_db, -6.0, atol=1e-6)
-        assert np.all(np.abs(sparams.s11) < 1e-6)  # matched
 
 
 class TestBendModels:

@@ -1,5 +1,7 @@
 """Unit tests for the thin-film microstrip electrical model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,12 +75,8 @@ class TestPropagation:
         # sqrt(eps_eff) ~ 1.75, so lambda_g ~ 3.19 mm / 1.75 ~ 1.8 mm.
         assert 1500.0 < wavelength_um < 2200.0
 
-    def test_electrical_length_round_trip(self, line):
-        degrees = line.electrical_length_deg(450.0, 94e9)
-        back = line.length_for_electrical_degrees(degrees, 94e9)
-        assert back == pytest.approx(450.0, rel=1e-9)
-
     def test_loss_db_per_mm_is_reasonable(self, line):
-        loss = line.loss_db_per_mm(94e9)
+        alpha = line.attenuation(np.array([94e9]))[0]  # Np/m
+        loss = 20.0 * math.log10(math.e) * alpha * 1.0e-3
         # Thin-film microstrip at W-band: on the order of a dB per mm.
         assert 0.2 < loss < 5.0

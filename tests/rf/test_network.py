@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RFError
-from repro.rf import SParameters, TwoPortNetwork, open_stub_admittance, short_stub_admittance
+from repro.rf import SParameters, TwoPortNetwork, open_stub_admittance
 
 
 @pytest.fixture
@@ -102,12 +102,6 @@ class TestComposition:
         with pytest.raises(RFError):
             TwoPortNetwork.identity(frequencies) @ other
 
-    def test_input_impedance_of_matched_line(self, frequencies):
-        gamma = 1j * 2.0 * np.pi * frequencies / 3.0e8
-        network = TwoPortNetwork.from_transmission_line(frequencies, gamma, 50.0, 0.002)
-        zin = network.input_impedance(load_impedance=50.0)
-        assert np.allclose(zin, 50.0, atol=1e-9)
-
 
 class TestSParameters:
     def test_db_views_and_interpolation(self, frequencies):
@@ -121,12 +115,6 @@ class TestSParameters:
         sparams = TwoPortNetwork.identity(frequencies).to_sparameters()
         with pytest.raises(RFError):
             sparams.at(500e9)
-
-    def test_peak_gain(self, frequencies):
-        sparams = TwoPortNetwork.identity(frequencies).to_sparameters()
-        peak_freq, peak_gain = sparams.peak_gain()
-        assert peak_gain == pytest.approx(0.0, abs=1e-9)
-        assert frequencies[0] <= peak_freq <= frequencies[-1]
 
     def test_as_dict_keys(self, frequencies):
         data = TwoPortNetwork.identity(frequencies).to_sparameters().as_dict()
@@ -143,10 +131,6 @@ class TestStubAdmittances:
         beta = 2.0 * np.pi * frequency / 3.0e8
         quarter_wave = (3.0e8 / frequency) / 4.0
         admittance = open_stub_admittance(np.array([1j * beta]), 50.0, quarter_wave)
-        assert np.abs(admittance[0]) > 1e3
-
-    def test_short_stub_at_low_frequency_is_short(self):
-        admittance = short_stub_admittance(np.array([1j * 1.0]), 50.0, 1e-6)
         assert np.abs(admittance[0]) > 1e3
 
     def test_negative_stub_length_rejected(self):

@@ -21,7 +21,7 @@ class TestPutGet:
         assert cache.get(job) is None
         entry = cache.put(job, result)
         assert entry.directory.is_dir()
-        assert cache.contains(job)
+        assert cache.peek(job) is not None
 
         hit = cache.get(job)
         assert hit is not None
@@ -115,7 +115,7 @@ class TestRobustness:
         entry = cache.put(job, result)
         (entry.directory / "metrics.json").unlink()
         assert cache.get(job) is None
-        assert not cache.contains(job)
+        assert cache.peek(job) is None
 
     def test_corrupt_manifest_is_a_miss(self, tmp_path, manual_job_and_result):
         job, result = manual_job_and_result
@@ -170,7 +170,7 @@ class TestPutFailureContainment:
         assert entry is None
         assert cache.stats.put_errors == 1
         assert "ENOSPC" in cache.last_put_error or "No space" in cache.last_put_error
-        assert not cache.contains(job)
+        assert cache.peek(job) is None
 
     def test_eio_on_rename_is_contained(self, tmp_path, manual_job_and_result):
         from repro.faults import FAULTS, FaultSpec

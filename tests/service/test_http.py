@@ -36,7 +36,7 @@ def tiny_job(tag=""):
 
 class TestEndpoints:
     def test_healthz(self, client):
-        assert client.ping() is True
+        assert client.health()["status"] == "ok"
 
     def test_unknown_resource_404(self, client):
         with pytest.raises(ServiceError, match="404"):
@@ -73,7 +73,8 @@ class TestEndpoints:
         document = client.layout_document(response["key"])
         layout = layout_from_dict(document)
         assert layout.netlist.name == "tiny"
-        svg = client.layout_svg(response["key"])
+        with client._request(f"/jobs/{response['key']}/layout.svg") as reply:
+            svg = reply.read().decode("utf-8")
         assert svg.startswith("<svg")
         assert "<title>" in svg  # labelled with the job's label + hash
 

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.circuit import save_netlist
 from repro.cli import _config_from_args, build_parser, main
 from repro.core.config import PILPConfig
-from tests.conftest import build_tiny_netlist
+from tests.conftest import build_tiny_netlist, write_netlist
 
 
 class TestParser:
@@ -135,7 +134,7 @@ class TestGenerateCommand:
             main(["generate", "/nonexistent/netlist.json"])
 
     def test_manual_flow_on_netlist_file(self, tmp_path, capsys):
-        netlist_path = save_netlist(build_tiny_netlist(), tmp_path / "tiny.json")
+        netlist_path = write_netlist(build_tiny_netlist(), tmp_path / "tiny.json")
         output_path = tmp_path / "layout.json"
         svg_path = tmp_path / "layout.svg"
         code = main(

@@ -111,7 +111,7 @@ def test_every_solve_takes_the_one_highs_path(tiny_netlist, monkeypatch):
     from scipy import optimize
 
     from repro.core.phase1 import build_phase1_model, phase1_seeds
-    from repro.ilp import Model
+    from repro.ilp import Model, VarType
     from repro.ilp.backends.highs import HighsBackend
     from repro.ilp.solution import SolveStatus
 
@@ -122,7 +122,7 @@ def test_every_solve_takes_the_one_highs_path(tiny_netlist, monkeypatch):
     monkeypatch.setattr(optimize, "linprog", refuse)
 
     mip = Model()
-    n = mip.add_integer("n", lb=0, ub=10)
+    n = mip.add_var("n", lb=0, ub=10, vartype=VarType.INTEGER)
     mip.add_constraint(2 * n <= 7)
     mip.set_objective(n, sense="max")
     assert mip.solve().status is SolveStatus.OPTIMAL

@@ -1,6 +1,4 @@
-"""Unit tests for the unit-conversion helpers and the exception hierarchy."""
-
-import math
+"""Unit tests for the unit conversion and the exception hierarchy."""
 
 import pytest
 
@@ -8,34 +6,8 @@ from repro import errors, units
 
 
 class TestUnits:
-    def test_length_conversions_round_trip(self):
-        assert units.meters_to_microns(units.microns_to_meters(123.4)) == pytest.approx(123.4)
-        assert units.mm_to_microns(1.5) == pytest.approx(1500.0)
-
-    def test_frequency_conversions(self):
-        assert units.ghz_to_hz(94.0) == pytest.approx(94.0e9)
-        assert units.hz_to_ghz(60.0e9) == pytest.approx(60.0)
-
-    def test_db_and_inverse(self):
-        assert units.db(10.0) == pytest.approx(20.0)
-        assert units.from_db(units.db(0.25)) == pytest.approx(0.25)
-        assert units.db(0.0) == float("-inf")
-
-    def test_db_power(self):
-        assert units.db_power(100.0) == pytest.approx(20.0)
-        assert units.db_power(0.0) == float("-inf")
-
-    def test_wavelength(self):
-        free_space = units.wavelength(1.0e9)
-        assert free_space == pytest.approx(units.SPEED_OF_LIGHT / 1.0e9)
-        slowed = units.wavelength(1.0e9, eps_eff=4.0)
-        assert slowed == pytest.approx(free_space / 2.0)
-
-    def test_wavelength_validation(self):
-        with pytest.raises(ValueError):
-            units.wavelength(0.0)
-        with pytest.raises(ValueError):
-            units.wavelength(1.0e9, eps_eff=0.0)
+    def test_microns_to_meters(self):
+        assert units.microns_to_meters(1500.0) == pytest.approx(1.5e-3)
 
     def test_free_space_impedance(self):
         assert units.ETA_0 == pytest.approx(376.73, abs=0.01)
@@ -52,9 +24,7 @@ class TestErrorHierarchy:
             errors.NetlistError,
             errors.TechnologyError,
             errors.LayoutError,
-            errors.DRCError,
             errors.RoutingError,
-            errors.PlacementError,
             errors.RFError,
             errors.ExperimentError,
             errors.ConfigurationError,
@@ -67,6 +37,3 @@ class TestErrorHierarchy:
 
     def test_infeasible_is_a_solver_error(self):
         assert issubclass(errors.InfeasibleModelError, errors.SolverError)
-
-    def test_drc_error_is_a_layout_error(self):
-        assert issubclass(errors.DRCError, errors.LayoutError)
