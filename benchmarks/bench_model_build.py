@@ -18,7 +18,7 @@ import statistics
 import time
 
 import _snapshot
-from _bench_utils import bench_config, bench_variant, run_once
+from _bench_utils import bench_config, bench_variant
 
 from repro.circuits import get_circuit
 from repro.core.exact import build_exact_model
@@ -92,19 +92,3 @@ def test_model_build_exact_lna94(benchmark):
     _report("exact[lna94]", build, form)
     assert form.num_constraints > 0
 
-
-def test_incremental_recompile_is_cheap(benchmark):
-    """Appending to a compiled model must not re-lower the whole model."""
-    circuit = get_circuit("buffer60", bench_variant())
-    config = bench_config()
-    build = build_exact_model(circuit.netlist, config)
-    model = build.model
-    model.to_standard_form()  # prime the cache
-
-    def append_and_recompile():
-        x = model.add_continuous("")
-        model.add_constraint(x <= 1.0)
-        return model.to_standard_form()
-
-    form = run_once(benchmark, append_and_recompile)
-    assert form.num_variables == model.num_variables

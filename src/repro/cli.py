@@ -516,24 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-ok", action="store_true",
         help="list every compared metric, not just warnings/regressions",
     )
-    bench_diff.add_argument(
-        "--latency-warn", type=float, default=2.0, metavar="X",
-        help="warn when a latency-class metric is X times worse (default: 2)",
-    )
-    bench_diff.add_argument(
-        "--latency-fail", type=float, default=10.0, metavar="X",
-        help="fail when a latency-class metric is X times worse (default: 10)",
-    )
-    bench_diff.add_argument(
-        "--throughput-warn", type=float, default=2.0, metavar="X",
-        help="warn when a throughput-class metric is X times worse "
-        "(default: 2)",
-    )
-    bench_diff.add_argument(
-        "--throughput-fail", type=float, default=10.0, metavar="X",
-        help="fail when a throughput-class metric is X times worse "
-        "(default: 10)",
-    )
 
     return parser
 
@@ -1237,19 +1219,10 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 def _command_bench(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
-    from repro.loadgen import Thresholds, diff_snapshot_files
+    from repro.loadgen import diff_snapshot_files
 
     try:
-        thresholds = Thresholds(
-            latency_warn_ratio=args.latency_warn,
-            latency_fail_ratio=args.latency_fail,
-            throughput_warn_ratio=args.throughput_warn,
-            throughput_fail_ratio=args.throughput_fail,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    try:
-        report = diff_snapshot_files(args.baseline, args.current, thresholds)
+        report = diff_snapshot_files(args.baseline, args.current)
     except ConfigurationError as exc:
         # Covers missing files, foreign schemas, and CorruptSnapshotError
         # (whose message already says how to restore the file).

@@ -26,8 +26,9 @@ bend detection and above all the pairwise non-overlap disjunctions, which
 grow quadratically with block count — are emitted through the batched
 compile path (:class:`repro.ilp.compile.ConstraintBatch`): rows are
 accumulated as COO triplets and ingested in bulk, skipping the per-term
-dictionary merges of the expression API.  The produced standard form is
-identical to the legacy expression path (a property test pins this down).
+dictionary merges of the expression API.  The model stores both kinds as
+the same compiled rows, and a batch row equals the row the expression API
+lowers for the same constraint (a property test pins this down).
 """
 
 from __future__ import annotations

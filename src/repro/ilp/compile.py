@@ -12,11 +12,12 @@ complementary *compiled* path:
   triplets that a :class:`~repro.ilp.model.Model` ingests in one call via
   :meth:`Model.add_linear_batch`.
 
-The batch produces *identical* standard-form matrices to the legacy path:
-duplicate columns within a row are merged left-to-right exactly like the dict
-path merges them, coefficients below the same drop tolerance are discarded,
-and ``>=`` rows are negated into ``<=`` rows the same way
-``Model.to_standard_form`` does.  A property test in the suite pins this
+A model keeps every constraint as a row of this compiled form;
+:meth:`Model.add_constraint` lowers an expression-API constraint into one.
+A batch row is *identical* to the row of the same constraint added through
+the expression API: duplicate columns within a row are merged left-to-right
+exactly like :class:`LinExpr` merges them, and coefficients below the same
+drop tolerance are discarded.  A property test in the suite pins this
 equivalence down (same nnz, rows, bounds and objective).
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import ModelError
-from repro.ilp.expr import LinExpr, Sense, Variable
+from repro.ilp.expr import Constraint, LinExpr, Sense, Variable
 
 #: Same drop tolerance as :class:`LinExpr`, so both paths agree bit-for-bit.
 _DROP_TOL = 1.0e-15
@@ -186,23 +187,13 @@ class ConstraintBatch:
         """Iterate rows as ``(sense, cols, vals, rhs, name)`` tuples."""
         return zip(self._senses, self._row_cols, self._row_vals, self._rhs, self._names)
 
-    def to_constraints(self, variables: Sequence[Variable]) -> list:
-        """Materialise the rows as legacy :class:`Constraint` objects.
-
-        Used when a caller inspects ``model.constraints`` on a model built
-        through the fast path — correctness tooling only, not a hot path.
-        """
-        return rows_to_constraints(self.iter_rows(), variables)
-
 
 def rows_to_constraints(rows, variables: Sequence[Variable]) -> list:
     """Materialise compiled ``(sense, cols, vals, rhs, name)`` rows.
 
-    Shared by :class:`ConstraintBatch` and the model's snapshotted batch
-    blocks so the two views of the same rows can never diverge.
+    Backs ``Model.constraints``, which correctness checks read; not a hot
+    path.
     """
-    from repro.ilp.expr import Constraint
-
     constraints = []
     for sense, cols, vals, rhs, name in rows:
         expr = LinExpr({variables[col]: val for col, val in zip(cols, vals)}, -rhs)

@@ -11,29 +11,28 @@ objective.  It can be exported to the standard matrix form
 
 which is what the HiGHS solver (:mod:`repro.ilp.backends.highs`) consumes.
 
-Two performance features back the progressive flow's fast path:
-
-* constraints may be ingested in bulk from a pre-lowered
-  :class:`~repro.ilp.compile.ConstraintBatch` (COO triplets) instead of one
-  dict-backed :class:`Constraint` at a time, and
-* ``to_standard_form()`` caches its result and — because the model API is
-  append-only — patches new rows/columns onto the cached CSR matrices
-  instead of re-lowering every constraint when the model grew between
-  solves.
+The model keeps every constraint as one compiled row
+``(sense, cols, vals, rhs, name)``, in insertion order.
+:meth:`Model.add_constraint` lowers a :class:`Constraint` into such a row
+when it is added; :meth:`Model.add_linear_batch` ingests the rows of a
+pre-lowered :class:`~repro.ilp.compile.ConstraintBatch` in bulk, which is
+the hot model builders' fast path.  ``to_standard_form()`` assembles the
+matrices from the rows in one pass and caches the result until the model
+changes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import ModelError
 from repro.ilp.backends.highs import HighsBackend
-from repro.ilp.compile import ConstraintBatch
+from repro.ilp.compile import ConstraintBatch, rows_to_constraints
 from repro.ilp.expr import (
     DEFAULT_TOLERANCE,
     Constraint,
@@ -49,6 +48,9 @@ _model_counter = itertools.count()
 
 #: A warm start maps variables (or their names) to suggested values.
 WarmStart = Mapping[Union[Variable, str], float]
+
+#: A compiled constraint row: ``sum(vals[k] * x[cols[k]]) (sense) rhs``.
+Row = Tuple[Sense, Tuple[int, ...], Tuple[float, ...], float, str]
 
 
 @dataclass
@@ -112,22 +114,13 @@ class Model:
         self._id = next(_model_counter)
         self._variables: List[Variable] = []
         self._var_names: Dict[str, Variable] = {}
-        #: Interleaved Constraint objects and snapshotted batch blocks
-        #: (_CompiledRows), in insertion order (the model API is
-        #: append-only).
-        self._entries: List[Union[Constraint, "_CompiledRows"]] = []
-        self._num_rows = 0
+        #: Every constraint as a compiled row, in insertion order.
+        self._rows: List[Row] = []
         self._objective: LinExpr = LinExpr()
         self._maximize = False
         self._aux_counter = itertools.count()
-        # Materialised-constraint and standard-form caches (see the
-        # respective accessors); both rely on the append-only guarantee.
-        self._constraints_cache: Optional[List[Constraint]] = None
-        self._form_cache: Optional[StandardForm] = None
-        self._form_entries = 0
-        self._form_vars = 0
-        self._form_obj_token = -1
-        self._obj_token = 0
+        #: The exported standard form; any change to the model drops it.
+        self._form: Optional[StandardForm] = None
 
     # ------------------------------------------------------------------ #
     # variables
@@ -155,6 +148,7 @@ class Model:
         var = Variable(name, len(self._variables), lb, ub, vartype, self._id)
         self._variables.append(var)
         self._var_names[name] = var
+        self._form = None
         return var
 
     def add_continuous(
@@ -187,7 +181,11 @@ class Model:
     # ------------------------------------------------------------------ #
 
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Register a constraint built from a comparison expression."""
+        """Register a constraint built from a comparison expression.
+
+        The constraint is lowered into a row at once: its terms in
+        expression order, and the negated constant as right-hand side.
+        """
         if not isinstance(constraint, Constraint):
             raise ModelError(
                 "add_constraint expects a Constraint (build one with <=, >= or ==)"
@@ -196,21 +194,28 @@ class Model:
         if name:
             constraint = constraint.with_name(name)
         elif not constraint.name:
-            constraint = constraint.with_name(f"c{self._num_rows}")
-        self._entries.append(constraint)
-        self._num_rows += 1
-        self._constraints_cache = None
+            constraint = constraint.with_name(f"c{len(self._rows)}")
+        coeffs = constraint.expr.coeffs
+        self._rows.append(
+            (
+                constraint.sense,
+                tuple(var.index for var in coeffs),
+                tuple(coeffs.values()),
+                -constraint.expr.constant,
+                constraint.name,
+            )
+        )
+        self._form = None
         return constraint
 
     def add_linear_batch(self, batch: ConstraintBatch) -> int:
         """Ingest a whole :class:`ConstraintBatch` of compiled rows at once.
 
         This is the fast path used by the hot model builders: the rows are
-        kept in their compiled COO form and lowered straight into the
-        standard-form matrices without ever materialising per-constraint
-        dictionaries.  The rows are snapshotted, so the caller may keep
-        filling (or re-use) the batch afterwards without affecting this
-        model.  Returns the number of rows added.
+        appended in their compiled form without ever materialising
+        per-constraint dictionaries.  The rows are snapshotted, so the
+        caller may keep filling (or re-use) the batch afterwards without
+        affecting this model.  Returns the number of rows added.
         """
         if not isinstance(batch, ConstraintBatch):
             raise ModelError("add_linear_batch expects a ConstraintBatch")
@@ -228,30 +233,20 @@ class Model:
                     f"{self.name!r} ({num_vars} variables)"
                 )
             if not name:
-                name = f"c{self._num_rows + len(rows)}"
+                name = f"c{len(self._rows) + len(rows)}"
             rows.append((sense, tuple(cols), tuple(vals), rhs, name))
-        compiled = _CompiledRows(tuple(rows))
-        self._entries.append(compiled)
-        self._num_rows += len(rows)
-        self._constraints_cache = None
+        self._rows.extend(rows)
+        self._form = None
         return len(rows)
 
     @property
     def constraints(self) -> Sequence[Constraint]:
-        """All constraints, materialising compiled batch rows on demand."""
-        if self._constraints_cache is None:
-            materialised: List[Constraint] = []
-            for entry in self._entries:
-                if isinstance(entry, _CompiledRows):
-                    materialised.extend(entry.to_constraints(self._variables))
-                else:
-                    materialised.append(entry)
-            self._constraints_cache = materialised
-        return tuple(self._constraints_cache)
+        """All constraints, materialised from the rows (for checking only)."""
+        return tuple(rows_to_constraints(self._rows, self._variables))
 
     @property
     def num_constraints(self) -> int:
-        return self._num_rows
+        return len(self._rows)
 
     def set_objective(self, objective: ExprLike, sense: str = "min") -> None:
         """Set the linear objective.
@@ -264,13 +259,13 @@ class Model:
             raise ModelError(f"objective sense must be 'min' or 'max', got {sense!r}")
         self._objective = expr
         self._maximize = sense == "max"
-        self._obj_token += 1
+        self._form = None
 
     @property
     def objective(self) -> LinExpr:
         # A copy: LinExpr supports in-place += / -=, and mutating the
         # model's internal objective would bypass the standard-form cache
-        # invalidation that set_objective performs.
+        # drop that set_objective performs.
         return LinExpr(dict(self._objective.coeffs), self._objective.constant)
 
     def _check_ownership(self, expr: LinExpr) -> None:
@@ -288,138 +283,43 @@ class Model:
     def to_standard_form(self) -> StandardForm:
         """Export the model to the matrix form used by the solver.
 
-        The compiled form is cached.  Because the model API is append-only
-        (constraints and variables are never removed or edited in place), a
-        model that grew since the last export only lowers its *new*
-        constraints: fresh CSR rows are stacked under the cached matrices and
-        the bound/integrality vectors are extended, instead of re-lowering
-        the whole model.  Callers must treat the returned arrays as
-        read-only — the solver copies before mutating.
+        The form is assembled from the rows in one pass and cached until
+        ``add_var``, ``add_constraint``, ``add_linear_batch`` or
+        ``set_objective`` runs again.  Callers must treat the returned
+        arrays as read-only — the solver copies before mutating.
         """
+        if self._form is None:
+            self._form = self._assemble_form()
+        return self._form
+
+    def _assemble_form(self) -> StandardForm:
+        """Lower the rows into the ``<=`` and ``==`` families, in row order."""
+        ub = _CooAccumulator()
+        eq = _CooAccumulator()
+        for sense, cols, vals, rhs, _ in self._rows:
+            if sense is Sense.LE:
+                ub.add_row(cols, vals, rhs)
+            elif sense is Sense.GE:
+                ub.add_row(cols, [-v for v in vals], -rhs)
+            else:
+                eq.add_row(cols, vals, rhs)
         n = len(self._variables)
-        num_entries = len(self._entries)
-        cache = self._form_cache
-        if (
-            cache is not None
-            and self._form_entries == num_entries
-            and self._form_vars == n
-            and self._form_obj_token == self._obj_token
-        ):
-            return cache
-
-        if cache is not None:
-            form = self._extend_form(cache, n)
-        else:
-            form = self._assemble_form(self._entries, n)
-        self._form_cache = form
-        self._form_entries = num_entries
-        self._form_vars = n
-        self._form_obj_token = self._obj_token
-        return form
-
-    def _objective_vector(self, n: int) -> np.ndarray:
         objective = np.zeros(n)
         for var, coeff in self._objective.coeffs.items():
             objective[var.index] = coeff
-        return objective
-
-    def _lower_entries(self, entries: Sequence[Union[Constraint, "_CompiledRows"]]):
-        """Lower entries to COO triplets, split into <= and == families."""
-        ub = _CooAccumulator()
-        eq = _CooAccumulator()
-        for entry in entries:
-            if isinstance(entry, _CompiledRows):
-                for sense, cols, vals, rhs, _ in entry.iter_rows():
-                    if sense is Sense.LE:
-                        ub.add_row(cols, vals, rhs)
-                    elif sense is Sense.GE:
-                        ub.add_row(cols, [-v for v in vals], -rhs)
-                    else:
-                        eq.add_row(cols, vals, rhs)
-            else:
-                coeffs = entry.expr.coeffs
-                cols = [var.index for var in coeffs]
-                rhs = -entry.expr.constant
-                if entry.sense is Sense.LE:
-                    ub.add_row(cols, list(coeffs.values()), rhs)
-                elif entry.sense is Sense.GE:
-                    ub.add_row(cols, [-v for v in coeffs.values()], -rhs)
-                else:
-                    eq.add_row(cols, list(coeffs.values()), rhs)
-        return ub, eq
-
-    def _assemble_form(
-        self, entries: Sequence[Union[Constraint, "_CompiledRows"]], n: int
-    ) -> StandardForm:
-        """Compile a standard form from scratch over the given entries."""
-        ub, eq = self._lower_entries(entries)
-        lower = np.array([var.lb for var in self._variables], dtype=float)
-        upper = np.array([var.ub for var in self._variables], dtype=float)
-        integrality = np.array(
-            [1 if var.is_integer else 0 for var in self._variables], dtype=int
-        )
         return StandardForm(
             variables=list(self._variables),
-            objective=self._objective_vector(n),
+            objective=objective,
             objective_constant=self._objective.constant,
             a_ub=ub.to_csr(n),
             b_ub=ub.rhs_array(),
             a_eq=eq.to_csr(n),
             b_eq=eq.rhs_array(),
-            lower=lower,
-            upper=upper,
-            integrality=integrality,
-            maximize=self._maximize,
-        )
-
-    def _extend_form(self, cache: StandardForm, n: int) -> StandardForm:
-        """Patch a cached form with the rows/columns added since compilation.
-
-        Row order is preserved: appended constraints land strictly after the
-        cached ones within their (<= / ==) family, exactly as a full rebuild
-        would order them.
-        """
-        new_entries = self._entries[self._form_entries :]
-        ub, eq = self._lower_entries(new_entries)
-
-        a_ub = _widen_csr(cache.a_ub, n)
-        a_eq = _widen_csr(cache.a_eq, n)
-        b_ub, b_eq = cache.b_ub, cache.b_eq
-        if len(ub.rhs):
-            a_ub = sparse.vstack([a_ub, ub.to_csr(n)], format="csr")
-            b_ub = np.concatenate([b_ub, ub.rhs_array()])
-        if len(eq.rhs):
-            a_eq = sparse.vstack([a_eq, eq.to_csr(n)], format="csr")
-            b_eq = np.concatenate([b_eq, eq.rhs_array()])
-
-        if n > self._form_vars:
-            added = self._variables[self._form_vars :]
-            lower = np.concatenate(
-                [cache.lower, np.array([v.lb for v in added], dtype=float)]
-            )
-            upper = np.concatenate(
-                [cache.upper, np.array([v.ub for v in added], dtype=float)]
-            )
-            integrality = np.concatenate(
-                [
-                    cache.integrality,
-                    np.array([1 if v.is_integer else 0 for v in added], dtype=int),
-                ]
-            )
-        else:
-            lower, upper, integrality = cache.lower, cache.upper, cache.integrality
-
-        return StandardForm(
-            variables=list(self._variables),
-            objective=self._objective_vector(n),
-            objective_constant=self._objective.constant,
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=a_eq,
-            b_eq=b_eq,
-            lower=lower,
-            upper=upper,
-            integrality=integrality,
+            lower=np.array([var.lb for var in self._variables], dtype=float),
+            upper=np.array([var.ub for var in self._variables], dtype=float),
+            integrality=np.array(
+                [1 if var.is_integer else 0 for var in self._variables], dtype=int
+            ),
             maximize=self._maximize,
         )
 
@@ -481,7 +381,7 @@ class Model:
             "binary_variables": num_binary,
             "integer_variables": num_integer,
             "continuous_variables": len(self._variables) - num_binary - num_integer,
-            "constraints": self._num_rows,
+            "constraints": len(self._rows),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -491,32 +391,6 @@ class Model:
             f"[{stats['binary_variables']} bin, {stats['integer_variables']} int], "
             f"{stats['constraints']} constraints)"
         )
-
-
-class _CompiledRows:
-    """An immutable snapshot of batch rows owned by one model.
-
-    Mirrors the read side of :class:`ConstraintBatch` (``__len__``,
-    ``iter_rows``, ``to_constraints``) so the compile pipeline treats both
-    uniformly, while guaranteeing the ingested rows can no longer change
-    under the model's caches.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows) -> None:
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def iter_rows(self):
-        return iter(self.rows)
-
-    def to_constraints(self, variables: Sequence[Variable]) -> List[Constraint]:
-        from repro.ilp.compile import rows_to_constraints
-
-        return rows_to_constraints(self.rows, variables)
 
 
 class _CooAccumulator:
@@ -545,15 +419,3 @@ class _CooAccumulator:
     def rhs_array(self) -> np.ndarray:
         return np.array(self.rhs, dtype=float)
 
-
-def _widen_csr(matrix: sparse.csr_matrix, num_columns: int) -> sparse.csr_matrix:
-    """Reinterpret a CSR matrix with extra (empty) trailing columns.
-
-    Shares the underlying data arrays — no copy is made.
-    """
-    if matrix.shape[1] == num_columns:
-        return matrix
-    return sparse.csr_matrix(
-        (matrix.data, matrix.indices, matrix.indptr),
-        shape=(matrix.shape[0], num_columns),
-    )

@@ -27,7 +27,6 @@ Layers
 from repro.loadgen.compare import (
     DiffEntry,
     DiffReport,
-    Thresholds,
     compare_snapshots,
     diff_snapshot_files,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "PlannedSubmission",
     "SNAPSHOT_SCHEMA",
     "SNAPSHOT_SCHEMA_VERSION",
-    "Thresholds",
     "WorkloadSpec",
     "compare_snapshots",
     "diff_snapshot_files",

@@ -49,7 +49,6 @@ from repro.loadgen.snapshot import load_snapshot
 __all__ = [
     "DiffEntry",
     "DiffReport",
-    "Thresholds",
     "compare_snapshots",
     "diff_snapshot_files",
 ]
@@ -60,35 +59,20 @@ PathLike = Union[str, Path]
 _SEVERITY = {"ok": 0, "warn": 1, "regression": 2}
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Noise-aware tolerances, one pair per timing-shaped class.
-
-    The fail ratios are deliberately generous (order of magnitude): the
-    gate exists to catch a 10x latency regression merging green, not to
-    litigate machine-to-machine variance.  Counters get no tolerance at
-    all — they are exact by contract.
-    """
-
-    latency_warn_ratio: float = 2.0
-    latency_fail_ratio: float = 10.0
-    throughput_warn_ratio: float = 2.0
-    throughput_fail_ratio: float = 10.0
-    #: Timings where *both* sides sit at or under this are noise, not
-    #: signal (sub-5ms scheduling jitter ratios wildly run to run).
-    latency_floor_s: float = 0.005
-    #: Throughputs where both sides sit under this are likewise ignored.
-    throughput_floor: float = 0.01
-
-    def __post_init__(self) -> None:
-        for name in ("latency", "throughput"):
-            warn = getattr(self, f"{name}_warn_ratio")
-            fail = getattr(self, f"{name}_fail_ratio")
-            if warn < 1.0 or fail < warn:
-                raise ValueError(
-                    f"need 1 <= {name}_warn_ratio <= {name}_fail_ratio "
-                    f"(got {warn}, {fail})"
-                )
+# Noise-aware tolerances, one pair per timing-shaped class.  The fail
+# ratios are deliberately generous (order of magnitude): the gate exists to
+# catch a 10x latency regression merging green, not to litigate
+# machine-to-machine variance.  Counters get no tolerance at all — they are
+# exact by contract.
+LATENCY_WARN_RATIO = 2.0
+LATENCY_FAIL_RATIO = 10.0
+THROUGHPUT_WARN_RATIO = 2.0
+THROUGHPUT_FAIL_RATIO = 10.0
+#: Timings where *both* sides sit at or under this are noise, not signal
+#: (sub-5ms scheduling jitter ratios wildly run to run).
+LATENCY_FLOOR_S = 0.005
+#: Throughputs where both sides sit under this are likewise ignored.
+THROUGHPUT_FLOOR = 0.01
 
 
 @dataclass
@@ -377,7 +361,6 @@ def _verdict_info(path: str, base: float, cur: float) -> DiffEntry:
 def compare_snapshots(
     baseline: Dict[str, object],
     current: Dict[str, object],
-    thresholds: Optional[Thresholds] = None,
     baseline_ref: str = "baseline",
     current_ref: str = "current",
 ) -> DiffReport:
@@ -388,7 +371,6 @@ def compare_snapshots(
     provenance fields (``host``/``platform``) feed the cross-machine
     warning, the ``data`` trees feed the metric diff.
     """
-    thresholds = thresholds or Thresholds()
     report = DiffReport(
         name=str(current.get("name", "?")),
         baseline_ref=baseline_ref,
@@ -434,17 +416,17 @@ def compare_snapshots(
         elif cls == "latency":
             report.entries.append(_verdict_ratio(
                 path, cls, base_value, cur_value,
-                thresholds.latency_floor_s,
-                thresholds.latency_warn_ratio,
-                thresholds.latency_fail_ratio,
+                LATENCY_FLOOR_S,
+                LATENCY_WARN_RATIO,
+                LATENCY_FAIL_RATIO,
                 lower_is_better=True,
             ))
         elif cls == "throughput":
             report.entries.append(_verdict_ratio(
                 path, cls, base_value, cur_value,
-                thresholds.throughput_floor,
-                thresholds.throughput_warn_ratio,
-                thresholds.throughput_fail_ratio,
+                THROUGHPUT_FLOOR,
+                THROUGHPUT_WARN_RATIO,
+                THROUGHPUT_FAIL_RATIO,
                 lower_is_better=False,
             ))
         else:
@@ -452,16 +434,11 @@ def compare_snapshots(
     return report
 
 
-def diff_snapshot_files(
-    baseline: PathLike,
-    current: PathLike,
-    thresholds: Optional[Thresholds] = None,
-) -> DiffReport:
+def diff_snapshot_files(baseline: PathLike, current: PathLike) -> DiffReport:
     """Load two snapshot files (or bare names) and compare them."""
     return compare_snapshots(
         load_snapshot(baseline),
         load_snapshot(current),
-        thresholds=thresholds,
         baseline_ref=str(baseline),
         current_ref=str(current),
     )

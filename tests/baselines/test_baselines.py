@@ -7,7 +7,6 @@ from repro.baselines import (
     AnnealingPlacer,
     GreedyRouter,
     GreedyRouterConfig,
-    ManualLikeFlow,
 )
 from repro.layout import ViolationKind, run_drc
 from tests.conftest import build_small_netlist, build_tiny_netlist

@@ -10,7 +10,6 @@ from repro.circuit import (
     Netlist,
     Terminal,
     make_rf_pad,
-    make_transistor,
 )
 from tests.conftest import build_small_netlist, build_tiny_netlist
 

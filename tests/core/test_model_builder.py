@@ -9,7 +9,6 @@ import itertools
 
 import pytest
 
-from repro.circuit import Rotation
 from repro.core import BuildOptions, PILPConfig, RficModelBuilder
 from repro.core.model_builder import DIRECTIONS
 from repro.errors import ModelError

@@ -5,7 +5,7 @@ import pytest
 from repro.core.result import FlowResult, PhaseResult
 from repro.ilp.solution import Solution, SolveStatus
 from repro.geometry import ManhattanPath, Point
-from repro.layout import Layout, RoutedMicrostrip, compute_metrics, run_drc
+from repro.layout import RoutedMicrostrip, compute_metrics, run_drc
 from repro.layout.drc import ViolationKind
 
 

@@ -1,7 +1,5 @@
 """Unit tests for points."""
 
-import math
-
 import pytest
 
 from repro.errors import GeometryError

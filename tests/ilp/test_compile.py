@@ -1,11 +1,11 @@
-"""Tests of the batched compile fast path and the incremental standard form.
+"""Tests of the batched compile fast path and the cached standard form.
 
 The crucial invariant: a model built through :class:`ConstraintBatch` /
 :meth:`Model.add_linear_batch` must export a :class:`StandardForm` that is
 *identical* (same nnz, rows, right-hand sides, bounds and objective) to the
-same model built constraint-by-constraint through the expression API, and a
-form exported incrementally (compile, append, re-compile) must equal the
-form of a from-scratch build.
+same model built constraint-by-constraint through the expression API.  A
+form is cached until the model changes, and a model that grew after an
+export (compile, append, re-compile) must export the form of a fresh build.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ def test_batched_and_legacy_paths_produce_identical_forms(rows):
 
 
 # --------------------------------------------------------------------------- #
-# incremental recompilation
+# the cached standard form
 # --------------------------------------------------------------------------- #
 
 
-def _build_incrementally(export_midway: bool) -> "Model":
-    model = Model("incremental")
+def _build_in_two_steps(export_midway: bool) -> "Model":
+    model = Model("two_steps")
     x = model.add_continuous("x", lb=0, ub=10)
     y = model.add_var("y", lb=0, ub=5, vartype=VarType.INTEGER)
     model.add_constraint(x + 2 * y <= 8, name="first")
@@ -127,20 +127,20 @@ def _build_incrementally(export_midway: bool) -> "Model":
     return model
 
 
-def test_incremental_export_matches_full_rebuild():
-    incremental = _build_incrementally(export_midway=True)
-    fresh = _build_incrementally(export_midway=False)
-    _assert_forms_equal(incremental.to_standard_form(), fresh.to_standard_form())
+def test_append_after_export_matches_fresh_build():
+    grown = _build_in_two_steps(export_midway=True)
+    fresh = _build_in_two_steps(export_midway=False)
+    _assert_forms_equal(grown.to_standard_form(), fresh.to_standard_form())
 
 
 def test_unchanged_model_reuses_cached_form():
-    model = _build_incrementally(export_midway=True)
+    model = _build_in_two_steps(export_midway=True)
     first = model.to_standard_form()
     assert model.to_standard_form() is first
 
 
-def test_objective_change_refreshes_cached_form_matrices_shared():
-    model = _build_incrementally(export_midway=True)
+def test_objective_change_drops_the_cached_form():
+    model = _build_in_two_steps(export_midway=True)
     first = model.to_standard_form()
     x = model.get_var("x")
     model.set_objective(5 * x, sense="min")
@@ -151,7 +151,25 @@ def test_objective_change_refreshes_cached_form_matrices_shared():
     np.testing.assert_allclose(first.a_ub.toarray(), second.a_ub.toarray())
 
 
-def test_incremental_solve_after_append_is_consistent():
+@pytest.mark.parametrize("change", ["add_var", "add_constraint", "add_linear_batch"])
+def test_every_model_change_drops_the_cached_form(change):
+    model = _build_in_two_steps(export_midway=True)
+    first = model.to_standard_form()
+    x = model.get_var("x")
+    if change == "add_var":
+        model.add_binary("late")
+    elif change == "add_constraint":
+        model.add_constraint(x <= 7, name="late")
+    else:
+        batch = ConstraintBatch()
+        batch.add_le(7.0, [(x, 1.0)], name="late")
+        model.add_linear_batch(batch)
+    second = model.to_standard_form()
+    assert second is not first
+    assert model.to_standard_form() is second
+
+
+def test_solve_after_append_sees_the_new_row():
     model = Model("grow")
     x = model.add_continuous("x", lb=0, ub=10)
     model.set_objective(x, sense="max")

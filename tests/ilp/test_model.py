@@ -1,6 +1,5 @@
 """Unit tests for the Model container and its standard-form export."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ModelError

@@ -1,7 +1,5 @@
 """Unit tests for the design-rule checker."""
 
-import pytest
-
 from repro.geometry import ManhattanPath, Point
 from repro.layout import (
     DesignRuleChecker,

@@ -7,7 +7,6 @@ import pytest
 
 from repro.geometry import ManhattanPath, Point
 from repro.layout import (
-    Layout,
     RoutedMicrostrip,
     default_cut_length,
     layout_from_dict,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import main
 from repro.loadgen import (
-    Thresholds,
     compare_snapshots,
     diff_snapshot_files,
     write_snapshot,
@@ -216,21 +215,6 @@ class TestPlanAndProvenance:
         ]
         assert entry.verdict == "warn"
         assert "missing in current" in entry.note
-
-
-class TestThresholds:
-    def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            Thresholds(latency_warn_ratio=5.0, latency_fail_ratio=2.0)
-        with pytest.raises(ValueError):
-            Thresholds(throughput_warn_ratio=0.5)
-
-    def test_custom_fail_ratio_applies(self, tmp_path):
-        base, cur = two_files(
-            tmp_path, payload(settle_p95=0.5), payload(settle_p95=1.6)
-        )
-        strict = Thresholds(latency_warn_ratio=1.5, latency_fail_ratio=3.0)
-        assert diff_snapshot_files(base, cur, strict).verdict == "regression"
 
 
 class TestCLI:

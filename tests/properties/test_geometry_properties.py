@@ -4,7 +4,7 @@ import math
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.geometry import ManhattanPath, Point, Rect, Segment, serpentine_path
+from repro.geometry import ManhattanPath, Point, Rect, serpentine_path
 from repro.geometry.overlap import overlap_extents
 
 coordinates = st.floats(

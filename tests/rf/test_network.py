@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RFError
-from repro.rf import SParameters, TwoPortNetwork, open_stub_admittance
+from repro.rf import TwoPortNetwork, open_stub_admittance
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ import pytest
 from repro.faults import FAULTS, FaultSpec
 from repro.runner import LayoutJob, ResultCache
 from repro.runner.cache import (
-    CHECKPOINT_FILE,
     LAYOUT_FILE,
     MANIFEST_FILE,
     QUARANTINE_NOTE_FILE,

@@ -10,8 +10,6 @@ on the racy implementation and pin the fix.
 import collections
 import threading
 
-import pytest
-
 from repro.runner import LayoutJob
 from repro.runner.cache import ResultCache
 from repro.service import JobQueue, LayoutScheduler, job_to_document

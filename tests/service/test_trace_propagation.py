@@ -13,8 +13,6 @@ Two invariants from the observability layer:
 import threading
 from types import SimpleNamespace
 
-import pytest
-
 from repro.runner import BatchRunner, LayoutJob, ResultCache
 from repro.runner.pool import JobOutcome
 from repro.service import JobQueue, LayoutScheduler, LayoutService, ServiceClient

@@ -50,26 +50,23 @@ def test_standard_form_cache_returns_same_object(tiny_netlist):
     assert model.to_standard_form() is model.to_standard_form()
 
 
-def test_hot_builders_emit_batched_rows(tiny_netlist):
-    from repro.ilp.expr import Constraint
+def test_hot_builders_emit_batched_rows(tiny_netlist, monkeypatch):
+    from repro.ilp.model import Model
 
+    term_rows = []
+    add_constraint = Model.add_constraint
+
+    def recording(self, *args, **kwargs):
+        constraint = add_constraint(self, *args, **kwargs)
+        term_rows.append(constraint.name)
+        return constraint
+
+    monkeypatch.setattr(Model, "add_constraint", recording)
     model = _build(tiny_netlist).model
-    batch_rows = sum(
-        len(entry)
-        for entry in model._entries
-        if not isinstance(entry, Constraint)
-    )
     # The spacing/segment/box/bend/no-reversal families must flow through
     # batches; no segment row may take the per-term expression path.
-    assert batch_rows > 0.8 * model.num_constraints
-    legacy_segment_rows = [
-        entry.name
-        for entry in model._entries
-        if isinstance(entry, Constraint)
-        and entry.name.startswith("net[")
-        and ".seg[" in entry.name
-    ]
-    assert legacy_segment_rows == []
+    assert len(term_rows) < 0.2 * model.num_constraints
+    assert [name for name in term_rows if name.startswith("net[") and ".seg[" in name] == []
 
 
 def test_warm_start_covers_most_of_the_model(tiny_netlist):
@@ -416,6 +413,51 @@ def test_only_the_exact_model_carries_the_bend_and_rows(tiny_netlist, monkeypatc
     assert phases == {"phase1", "phase2", "phase3"}
     assert all(_bend_and_rows(result.model) == [] for result in builds)
     assert all(_bend_floor_rows(result.model) == [] for result in builds)
+
+
+def test_every_model_of_the_flows_is_assembled_once(tiny_netlist, monkeypatch):
+    """Repair and search of a model share one standard form.
+
+    Each Phase-1 and Phase-2 repair assembles its model's form and then
+    reports no optimum, so the phase also searches the model it repaired.
+    Any change to a model drops its form, so this also shows that no flow
+    changes a model after it first exports it.
+    """
+    from repro.core import ExactLayoutGenerator, PILPLayoutGenerator, pilp
+    from repro.ilp.backends.highs import HighsBackend
+    from repro.ilp.model import Model
+
+    assembled = []  # holding the models keeps their ids distinct
+    assemble = Model._assemble_form
+
+    def recording(self):
+        assembled.append(self)
+        return assemble(self)
+
+    repaired = []
+    repair = HighsBackend.repair
+
+    def failing_phase_repair(self, model, warm_start):
+        repaired.append(model)
+        solution = repair(self, model, warm_start)
+        return None if model.name.startswith(("phase1", "phase2")) else solution
+
+    monkeypatch.setattr(Model, "_assemble_form", recording)
+    monkeypatch.setattr(HighsBackend, "repair", failing_phase_repair)
+    solves = _count_highs_solves(monkeypatch)
+    builds = _record_builds(monkeypatch)
+    # A dirty final DRC adds the fallback round: a Phase-2 search and a
+    # second round of Phase-3 models.
+    monkeypatch.setattr(pilp, "run_drc", _crossing)
+    PILPLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+    ExactLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+
+    names = {build.model.name.split("[")[0] for build in builds}
+    assert names == {"phase1", "phase2", "phase3", "exact"}
+    searched = {solve["model"] for solve in solves}
+    assert {"phase1", "phase2"} <= {m.name.split("[")[0] for m in repaired if m.name in searched}
+    assert len({id(model) for model in assembled}) == len(assembled)
+    assert {id(model) for model in assembled} == {id(build.model) for build in builds}
 
 
 def test_the_pilp_flow_checks_each_layout_once(tiny_netlist, monkeypatch):

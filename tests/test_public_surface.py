@@ -11,6 +11,9 @@ The scan runs to a fixed point: a use inside a definition already found dead
 is no use, so a class reached only from a dead function is dead too.  A name
 the scan cannot see being called (a framework override, a reference checker
 the tests rely on) stays only through ``ALLOWLIST``, with its reason.
+
+The same tokenizer backs a second guard: no module under ``src/`` or
+``tests/`` imports a name it never uses.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "perfbench", "benchmarks", "examples")
+IMPORT_DIRS = ("src", "tests")
 
 ALLOWLIST = {
     "_Handler.do_GET": "BaseHTTPRequestHandler dispatches GET requests to it",
@@ -79,14 +83,20 @@ def _definitions(path: Path, tree: ast.Module):
                     yield Definition(f"{node.name}.{method.name}", path, _span(method))
 
 
-def _silent_lines(tree: ast.Module) -> set:
-    """Lines whose strings are no use: docstrings and ``__all__`` lists."""
+def _docstring_lines(tree: ast.Module) -> set:
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, *_DEFINITION)) and ast.get_docstring(node, clean=False):
             docstring = node.body[0]
             lines.update(range(docstring.lineno, docstring.end_lineno + 1))
-        elif isinstance(node, ast.Assign) and any(
+    return lines
+
+
+def _silent_lines(tree: ast.Module) -> set:
+    """Lines whose strings are no use: docstrings and ``__all__`` lists."""
+    lines = _docstring_lines(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             lines.update(range(node.lineno, node.end_lineno + 1))
@@ -145,6 +155,42 @@ def dead(definitions, uses, allowlist=ALLOWLIST):
 
 def scan(root: Path, allowlist=ALLOWLIST):
     return dead(*index(root), allowlist)
+
+
+def unused_imports(source: str):
+    """``(line, name)`` of each name the module imports and never uses.
+
+    A use is an identifier token, or a word in a string (a string annotation,
+    an ``__all__`` entry), outside the imports and the docstrings.
+    """
+    tree = ast.parse(source)
+    imported, import_lines = {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        import_lines.update(range(node.lineno, node.end_lineno + 1))
+        for alias in node.names:
+            if alias.name != "*":
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {
+        word
+        for word, line in _words(source, _docstring_lines(tree))
+        if line not in import_lines
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def import_scan(root: Path):
+    """``path:line: name`` of every unused import; package re-exports excepted."""
+    return [
+        f"{path.relative_to(root)}:{line}: {name}"
+        for directory in IMPORT_DIRS
+        for path in sorted((root / directory).rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,3 +296,38 @@ def test_restoring_a_deleted_name_fails(tmp_path):
         encoding="utf-8",
     )
     assert [d.qualname for d in scan(tmp_path)] == ["find_overlaps"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = import_scan(ROOT)
+    assert unused == [], "imported and never used: " + ", ".join(unused)
+
+
+def test_the_import_scan_on_a_small_tree(tmp_path):
+    _write(tmp_path, "src/pkg/__init__.py", "from pkg.mod import helper\n")
+    _write(
+        tmp_path,
+        "src/pkg/mod.py",
+        '''
+        """Naming json in a docstring is no use."""
+
+        from __future__ import annotations
+
+        import json
+        import os.path
+        import numpy as np
+        from typing import Dict, List
+
+        __all__ = ["Dict"]
+
+
+        def helper(items) -> "List[int]":
+            return os.path.join(*items)
+        ''',
+    )
+    _write(tmp_path, "tests/test_mod.py", "import pytest\nfrom pkg.mod import helper\n\nhelper\n")
+    assert import_scan(tmp_path) == [
+        "src/pkg/mod.py:6: json",
+        "src/pkg/mod.py:8: np",
+        "tests/test_mod.py:1: pytest",
+    ]
