@@ -39,6 +39,10 @@ def test_ablation_exact_flow(benchmark):
     print("exact  :", result.summary())
     assert result.drc.is_clean
     assert result.metrics.max_abs_length_error <= 0.5
+    # The bend floor certifies the optimum on a relaxation; a lost
+    # certificate would leave the full model to search.
+    assert result.layout.metadata["certified_by_chain_points"] is not None
+    assert result.metrics.total_bend_count == 1
 
 
 def test_ablation_progressive_flow(benchmark):

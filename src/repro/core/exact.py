@@ -43,10 +43,25 @@ searching the full model cold.  ``R_k`` is the same model with at most
 2. A full solution in which some net has at least ``k + 1`` bends costs at
    least ``(alpha + beta)(k + 1)``.
 
-The first feasible ``R_k`` ends the deepening.  If it is optimal, its
-objective is at most ``(alpha + beta)(k + 1)`` and it lifts into the full
-model, the lift is the full model's optimum within ``R_k``'s gap.  The lift
-pads each route to the full chain count by repeating interior chain points
+Once ``R_{f-1}`` is infeasible (floor ``f >= 1``), the cheapest layouts
+left bend one net ``f`` times and keep every other net straight.  So before
+``R_f`` the flow solves, for each net ``i`` in netlist order, the single-net
+level ``S_{f,i}``: net ``i`` gets ``min(f + 2, count)`` chain points, every
+other net 2, and the floor rows hold.  Every solution of ``S_{f,i}`` has
+``max_bends <= f`` and at most ``f`` bends in total, so its objective is at
+most ``(alpha + beta) f``; the floor rows make that a lower bound on every
+full solution, so an optimum of ``S_{f,i}`` that lifts is the full
+optimum.  The floor is HiGHS's root bound, so it stops at its first
+incumbent.  When every ``S_{f,i}`` is infeasible, ``R_f`` follows as before,
+or the full model when ``R_f`` would be it (a one-net circuit's single-net
+level is ``R_f`` and is solved once); :func:`bend_budget_levels` gives the
+order.
+
+The first feasible level ends the deepening.  If it is optimal, its
+objective is at most its bound (``(alpha + beta)(k + 1)`` for ``R_k``,
+``(alpha + beta) f`` for ``S_{f,i}``) and it lifts into the full model, the
+lift is the full model's optimum within the level's gap.  The lift pads
+each route to the full chain count by repeating interior chain points
 (:func:`pad_chain`), warm starts the full model from that geometry and
 completes it by LP (:meth:`~repro.ilp.backends.highs.HighsBackend.repair`).
 Otherwise the full model, with the floor rows, is searched to the gap from
@@ -54,9 +69,14 @@ the lift (cold when there is none) in what is left of the time limit.  The
 last level is the full model, so there is one path.
 
 On the tiny circuit under ``PILPConfig.fast()``, ``R_0`` is infeasible in
-about 0.05 s and ``R_1`` is optimal at 24 in about 0.4 s without branching;
-the lift and its repair take 0.005 s.  The flow takes about 0.5 s where the
-cold full search took 1.2-1.5 s and 186 nodes (2-core VM, HiGHS 1.12.0).
+about 0.04 s and ``S_{1,ms_in}`` is optimal at 24 in about 0.06 s at its
+root; the lift and its repair take 0.005 s.  The flow takes about 0.1 s.
+``R_1``, which certified it before the single-net levels, took 0.3-0.4 s to
+find its first incumbent (3,754 cuts and a sub-MIP) with the floor as its
+root bound, and the cold full search takes 1.2-1.5 s and 186 nodes.  A
+single-net level certifies the five-net circuit in 0.9 s (12 s through
+``R_1``) and reduced buffer60 and lna60 in 2.8 and 3.1 s (82-89 and 54 s);
+2-core VM, HiGHS 1.12.0.
 """
 
 from __future__ import annotations
@@ -64,7 +84,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Netlist
 from repro.core.config import PILPConfig
@@ -87,15 +107,19 @@ def build_exact_model(
     netlist: Netlist,
     config: PILPConfig,
     chain_points: Optional[Mapping[str, int]] = None,
+    net: Optional[str] = None,
 ) -> BuildResult:
     """The model the exact flow solves: Section 4's rows plus the AND rows.
 
     ``chain_points`` sets the chain-point count of each net, which builds
     one of the flow's bend-budget relaxations; ``None`` builds the full
-    model.
+    model.  ``net`` names the one net of a single-net level, the only net
+    whose route may bend.
     """
     name = f"exact[{netlist.name}]"
-    if chain_points is not None:
+    if net is not None:
+        name += f"[{net}: {chain_points[net]} chain points]"
+    elif chain_points is not None:
         name += f"[{max(chain_points.values())} chain points]"
     options = BuildOptions(chain_point_counts=dict(chain_points or {}))
     builder = RficModelBuilder(netlist, config, options, name=name)
@@ -144,22 +168,53 @@ def pad_chain(points: Sequence[Point], count: int) -> List[Point]:
     return padded
 
 
+def bend_budget_levels(
+    counts: Mapping[str, int],
+) -> Iterator[Tuple[Optional[str], Dict[str, int], int]]:
+    """The relaxations of the bend-budget deepening, in solve order.
+
+    ``counts`` holds the full model's chain-point count of each net.  Each
+    level is ``(net, chain points, bends)``: ``net`` is ``None`` for the
+    uniform level ``R_k``, whose infeasibility proves the floor ``bends =
+    k + 1``, and names the bent net of a single-net level ``S_{f,i}``, which
+    follows a proven floor ``bends = f``.  Either level certifies an optimum
+    of at most ``(alpha + beta) * bends``.  Single-net levels whose budget
+    equals the next uniform level's are skipped.  The levels end before the
+    uniform level whose budget is the full model's; its single-net levels
+    still come first.
+    """
+    for k in itertools.count():
+        uniform = {name: min(k + 2, count) for name, count in counts.items()}
+        if k > 0:
+            for net, count in counts.items():
+                single = dict.fromkeys(counts, 2)
+                single[net] = min(k + 2, count)
+                if single != uniform:
+                    yield net, single, k
+        if uniform == counts:
+            return
+        yield None, uniform, k + 1
+
+
 class BendBudgetDeepening:
     """The exact flow's solve of the full model: deepen a bend budget first.
 
     Calling it with the full model's build returns the full model's
     solution (see the module docstring).  Its ``solve_time`` covers every
     HiGHS run, the repair LP included, and ``iterations`` sums the nodes of
-    every level.  Afterwards ``bend_floor`` holds the proven floor and
-    ``certified_by_chain_points`` the chain-point budget of the relaxation
-    whose optimum was lifted, or ``None`` when the full model was searched.
+    every level.  Afterwards ``bend_floor`` holds the proven floor,
+    ``certified_by_chain_points`` the chain-point map of the relaxation
+    whose optimum was lifted, or ``None`` when the full model was searched,
+    and ``levels`` one row per relaxation or full-model solve, in solve
+    order: its chain-point map, status, nodes and ``solve_s``.
     """
 
     def __init__(self, netlist: Netlist, config: PILPConfig) -> None:
         self.netlist = netlist
         self.config = config
         self.bend_floor = 0
-        self.certified_by_chain_points: Optional[int] = None
+        self.certified_by_chain_points: Optional[Dict[str, int]] = None
+        self.levels: List[Dict[str, object]] = []
         self._runs: List[Solution] = []
 
     def __call__(self, full: BuildResult) -> Solution:
@@ -173,42 +228,43 @@ class BendBudgetDeepening:
 
         counts = {name: len(net_vars.xs) for name, net_vars in full.nets.items()}
         level = None
-        for k in itertools.count():
-            budget = {name: min(k + 2, count) for name, count in counts.items()}
-            if budget == counts or remaining() == 0.0:
+        for net, budget, bends in bend_budget_levels(counts):
+            if remaining() == 0.0:
                 break
-            relaxation = build_exact_model(self.netlist, self.config, budget)
+            relaxation = build_exact_model(self.netlist, self.config, budget, net)
             add_bend_floor(relaxation, self.bend_floor)
             solution = self._run(
-                relaxation.model.solve(time_limit=remaining(), mip_gap=settings.mip_gap)
+                relaxation.model.solve(time_limit=remaining(), mip_gap=settings.mip_gap),
+                budget,
             )
             if solution.status is SolveStatus.INFEASIBLE:
-                self.bend_floor = k + 1
+                if net is None:
+                    self.bend_floor = bends
                 continue
             if solution.is_feasible:
-                level = (k, relaxation, solution)
+                level = (budget, bends, relaxation, solution)
             break
 
         add_bend_floor(full, self.bend_floor)
         warm_start = None
         if level is not None:
-            k, relaxation, solution = level
+            budget, bends, relaxation, solution = level
             warm_start = _lift(full, relaxation, solution)
             repaired = HighsBackend().repair(full.model, warm_start)
             if repaired is not None:
                 self._run(repaired)
                 weights = self.config.weights
-                bound = (weights.alpha + weights.beta) * (k + 1)
+                bound = (weights.alpha + weights.beta) * bends
                 if (
                     solution.is_optimal
                     and solution.objective <= bound
                     and repaired.objective <= solution.objective + _OBJECTIVE_TOL
                 ):
-                    self.certified_by_chain_points = k + 2
+                    self.certified_by_chain_points = budget
                     return self._total(
                         replace(repaired, status=SolveStatus.OPTIMAL, gap=solution.gap),
-                        f"certified by the {k + 2}-chain-point relaxation: its optimum "
-                        f"{solution.objective:g} is at most (alpha+beta)*{k + 1} = "
+                        f"certified by {relaxation.model.name}: its optimum "
+                        f"{solution.objective:g} is at most (alpha+beta)*{bends} = "
                         f"{bound:g} and lifts into the full model; bend floor "
                         f"{self.bend_floor}",
                     )
@@ -216,14 +272,27 @@ class BendBudgetDeepening:
         solution = self._run(
             full.model.solve(
                 time_limit=remaining(), mip_gap=settings.mip_gap, warm_start=warm_start
-            )
+            ),
+            counts,
         )
         return self._total(
             solution, f"full model searched; bend floor {self.bend_floor}; {solution.message}"
         )
 
-    def _run(self, solution: Solution) -> Solution:
+    def _run(
+        self, solution: Solution, chain_points: Optional[Mapping[str, int]] = None
+    ) -> Solution:
+        """Count ``solution``'s run; ``chain_points`` makes it a level (not the repair)."""
         self._runs.append(solution)
+        if chain_points is not None:
+            self.levels.append(
+                {
+                    "chain_points": dict(chain_points),
+                    "status": solution.status.value,
+                    "nodes": solution.iterations,
+                    "solve_s": round(solution.solve_time, 6),
+                }
+            )
         return solution
 
     def _total(self, solution: Solution, message: str) -> Solution:
@@ -282,6 +351,7 @@ class ExactLayoutGenerator:
         layout.metadata["solver_backend"] = phase.solution.backend
         layout.metadata["bend_floor"] = deepening.bend_floor
         layout.metadata["certified_by_chain_points"] = deepening.certified_by_chain_points
+        phase.levels = deepening.levels
         metrics_started = time.perf_counter()
         metrics = compute_metrics(layout)
         drc_started = time.perf_counter()

@@ -42,6 +42,10 @@ class PhaseResult:
         Wall-clock seconds spent constructing the phase model (a subset of
         ``runtime``; the remainder is the warm start, solver time and layout
         extraction).
+    levels:
+        The exact flow's HiGHS searches, one row each in solve order (its
+        relaxations and any full-model search; the repair LP is not one);
+        empty for every other phase.
     """
 
     phase: str
@@ -53,6 +57,7 @@ class PhaseResult:
     total_overlap: float = 0.0
     model_statistics: Dict[str, int] = field(default_factory=dict)
     model_build_time: float = 0.0
+    levels: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def max_abs_length_error(self) -> float:
@@ -128,6 +133,8 @@ class PhaseResult:
         }
         if self.solution.iterations is not None:
             entry["solver_iterations"] = int(self.solution.iterations)
+        if self.levels:
+            entry["levels"] = list(self.levels)
         return entry
 
 

@@ -40,7 +40,7 @@ JOB_FLOWS = ("pilp", "exact", "manual")
 
 #: Version of the canonical job document.  Bump when the canonical form (or
 #: anything that invalidates previously cached results) changes.
-RUNNER_SCHEMA_VERSION = 8
+RUNNER_SCHEMA_VERSION = 9
 
 
 def code_version_salt() -> str:

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import BuildOptions, PILPConfig, RficModelBuilder
-from repro.core.exact import add_bend_floor, build_exact_model, pad_chain
+from repro.core.exact import add_bend_floor, bend_budget_levels, build_exact_model, pad_chain
 from repro.core.warm_start import warm_start_from_geometry
 from repro.geometry.point import Point
-from repro.ilp.solution import SolveStatus
+from repro.ilp.solution import Solution, SolveStatus
 
 #: Straight, L- and Z-shaped routes with 2, 3 and 4 chain points.
 ROUTES = {
@@ -110,7 +110,7 @@ def test_a_relaxation_that_does_not_lift_leaves_the_full_model_to_search(
 
     assert solves == [
         ("exact[tiny][2 chain points]", False),
-        ("exact[tiny][3 chain points]", False),
+        ("exact[tiny][ms_in: 3 chain points]", False),
         ("exact[tiny]", True),
     ]
     assert result.layout.metadata["bend_floor"] == 1
@@ -119,3 +119,77 @@ def test_a_relaxation_that_does_not_lift_leaves_the_full_model_to_search(
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(24.0)
     assert solution.message.startswith("full model searched")
+
+
+def test_single_net_levels_follow_each_proven_floor():
+    """R_0, then per floor f one level per net bending it alone, then R_f."""
+    levels = list(bend_budget_levels({"a": 4, "b": 4}))
+    assert levels == [
+        (None, {"a": 2, "b": 2}, 1),
+        ("a", {"a": 3, "b": 2}, 1),
+        ("b", {"a": 2, "b": 3}, 1),
+        (None, {"a": 3, "b": 3}, 2),
+        ("a", {"a": 4, "b": 2}, 2),
+        ("b", {"a": 2, "b": 4}, 2),
+    ]
+
+
+def test_a_one_net_circuit_skips_its_single_net_levels():
+    """Bending the only net is the uniform level, so it is solved once."""
+    assert list(bend_budget_levels({"a": 4})) == [
+        (None, {"a": 2}, 1),
+        (None, {"a": 3}, 2),
+    ]
+
+
+def test_without_a_single_bent_net_the_uniform_level_certifies(tiny_netlist, monkeypatch):
+    """Single-net levels that are all infeasible leave R_1 to certify, as before them."""
+    from repro.core import ExactLayoutGenerator
+    from repro.ilp.backends.highs import HighsBackend
+
+    solves = []
+    solve = HighsBackend.solve
+
+    def single_nets_infeasible(self, model, *args, **kwargs):
+        solves.append(model.name)
+        if ": " in model.name:
+            return Solution(status=SolveStatus.INFEASIBLE, backend="highs")
+        return solve(self, model, *args, **kwargs)
+
+    monkeypatch.setattr(HighsBackend, "solve", single_nets_infeasible)
+    result = ExactLayoutGenerator(PILPConfig.fast()).generate(tiny_netlist)
+
+    assert solves == [
+        "exact[tiny][2 chain points]",
+        "exact[tiny][ms_in: 3 chain points]",
+        "exact[tiny][ms_out: 3 chain points]",
+        "exact[tiny][3 chain points]",
+    ]
+    assert result.layout.metadata["bend_floor"] == 1
+    assert result.layout.metadata["certified_by_chain_points"] == {"ms_in": 3, "ms_out": 3}
+    solution = result.phases[0].solution
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == pytest.approx(24.0)
+    assert solution.message.startswith("certified by exact[tiny][3 chain points]")
+    levels = result.profile()["phases"][0]["levels"]
+    assert [level["status"] for level in levels] == [
+        "infeasible",
+        "infeasible",
+        "infeasible",
+        "optimal",
+    ]
+
+
+@pytest.mark.slow
+def test_the_five_net_circuit_certifies_on_one_bent_net(small_netlist):
+    """One bend on one net is the five-net circuit's optimum, and a single-net level proves it."""
+    from repro.core import ExactLayoutGenerator
+
+    result = ExactLayoutGenerator(PILPConfig.fast()).generate(small_netlist)
+    certified = result.layout.metadata["certified_by_chain_points"]
+    assert certified is not None
+    assert sorted(certified.values()) == [2, 2, 2, 2, 3]
+    solution = result.phases[0].solution
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == pytest.approx(24.0)
+    assert result.metrics.total_bend_count == 1

@@ -49,36 +49,58 @@ class TestExactFlow:
         assert exact_tiny_result.layout.metadata["flow"] == "exact-ilp"
 
     def test_optimum_is_certified_on_three_chain_points(self, exact_tiny_result):
-        """No straight layout exists, and the 3-point relaxation's optimum lifts."""
+        """No straight layout exists, and the level giving ms_in 3 chain points lifts."""
         metadata = exact_tiny_result.layout.metadata
         assert metadata["bend_floor"] == 1
-        assert metadata["certified_by_chain_points"] == 3
+        assert metadata["certified_by_chain_points"] == {"ms_in": 3, "ms_out": 2}
         solution = exact_tiny_result.phases[0].solution
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(24.0)
-        assert "3-chain-point relaxation" in solution.message
+        assert "certified by exact[tiny][ms_in: 3 chain points]" in solution.message
         assert exact_tiny_result.metrics.total_bend_count == 1
 
     def test_profile_covers_every_level(self, session_tiny_netlist, monkeypatch):
-        """Solver seconds and nodes sum every HiGHS run, the repair LP included."""
+        """Solver seconds and nodes sum every HiGHS run, the repair LP included.
+
+        The phase's ``levels`` give each relaxation's solve; with the
+        repair's seconds they add up to ``solver_s``.
+        """
         from repro.core import ExactLayoutGenerator
         from repro.ilp.backends.highs import HighsBackend
 
-        runs = []
-        for method in ("solve", "repair"):
+        runs = {"solve": [], "repair": []}
+        for method in runs:
             original = getattr(HighsBackend, method)
 
-            def recording(self, *args, _original=original, **kwargs):
-                runs.append(_original(self, *args, **kwargs))
-                return runs[-1]
+            def recording(self, *args, _original=original, _runs=runs[method], **kwargs):
+                _runs.append(_original(self, *args, **kwargs))
+                return _runs[-1]
 
             monkeypatch.setattr(HighsBackend, method, recording)
         result = ExactLayoutGenerator(PILPConfig.fast()).generate(session_tiny_netlist)
         entry = result.profile()["phases"][0]
-        assert len(runs) == 3
-        assert entry["solver_s"] == pytest.approx(sum(run.solve_time for run in runs), abs=1e-5)
-        assert entry["solver_iterations"] == sum(run.iterations or 0 for run in runs)
+        every_run = runs["solve"] + runs["repair"]
+        assert (len(runs["solve"]), len(runs["repair"])) == (2, 1)
+        assert entry["solver_s"] == pytest.approx(
+            sum(run.solve_time for run in every_run), abs=1e-5
+        )
+        assert entry["solver_iterations"] == sum(run.iterations or 0 for run in every_run)
         assert entry["solver_iterations"] > 0
+        assert entry["levels"] == [
+            {
+                "chain_points": chain_points,
+                "status": run.status.value,
+                "nodes": run.iterations,
+                "solve_s": pytest.approx(run.solve_time, abs=1e-6),
+            }
+            for chain_points, run in zip(
+                ({"ms_in": 2, "ms_out": 2}, {"ms_in": 3, "ms_out": 2}), runs["solve"]
+            )
+        ]
+        level_s = sum(level["solve_s"] for level in entry["levels"])
+        assert level_s + runs["repair"][0].solve_time == pytest.approx(
+            entry["solver_s"], abs=1e-5
+        )
 
     def test_certified_objective_is_the_full_models_optimum(self, session_tiny_netlist):
         """The certificate agrees with the full model searched to gap 0."""

@@ -356,10 +356,8 @@ def _record_builds(monkeypatch):
     return builds
 
 
-def test_the_exact_flow_certifies_its_optimum_on_three_chain_points(
-    tiny_netlist, monkeypatch
-):
-    """R_0 is infeasible and R_1's optimum lifts: the full model is repaired, not searched."""
+def test_the_exact_flow_certifies_its_optimum_on_one_bent_net(tiny_netlist, monkeypatch):
+    """R_0 is infeasible and the level that bends ms_in alone lifts: two solves, one repair."""
     from repro.core import ExactLayoutGenerator
     from repro.ilp.backends.highs import HighsBackend
     from repro.ilp.solution import SolveStatus
@@ -378,17 +376,17 @@ def test_the_exact_flow_certifies_its_optimum_on_three_chain_points(
 
     assert [(solve["model"], solve["status"]) for solve in solves] == [
         ("exact[tiny][2 chain points]", SolveStatus.INFEASIBLE),
-        ("exact[tiny][3 chain points]", SolveStatus.OPTIMAL),
+        ("exact[tiny][ms_in: 3 chain points]", SolveStatus.OPTIMAL),
     ]
     assert repairs == ["exact[tiny]"]
     assert result.phases[0].solution.status is SolveStatus.OPTIMAL
-    assert result.layout.metadata["certified_by_chain_points"] == 3
+    assert result.layout.metadata["certified_by_chain_points"] == {"ms_in": 3, "ms_out": 2}
     assert result.layout.metadata["bend_floor"] == 1
     floors = {build.model.name: _bend_floor_rows(build.model) for build in builds}
     assert floors == {
         "exact[tiny]": ["obj.bend_floor", "obj.bend_floor_total"],
         "exact[tiny][2 chain points]": [],
-        "exact[tiny][3 chain points]": ["obj.bend_floor", "obj.bend_floor_total"],
+        "exact[tiny][ms_in: 3 chain points]": ["obj.bend_floor", "obj.bend_floor_total"],
     }
 
 
